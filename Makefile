@@ -19,8 +19,9 @@ COVER_FLOOR ?= 70
 # internal/query is the pruned survey-scale query engine over the store;
 # internal/consistency is the WHOIS<->RDAP cross-protocol audit engine;
 # internal/modelreg is the content-addressed model registry under the
-# promotion state machine.
-COVER_PKGS = repro/internal/serve repro/internal/obs repro/internal/store repro/internal/lifecycle repro/internal/tiered repro/internal/cluster repro/internal/query repro/internal/consistency repro/internal/modelreg
+# promotion state machine; internal/stack assembles all of the above
+# into the daemons' serving stack.
+COVER_PKGS = repro/internal/serve repro/internal/obs repro/internal/store repro/internal/lifecycle repro/internal/tiered repro/internal/cluster repro/internal/query repro/internal/consistency repro/internal/modelreg repro/internal/stack
 
 # Corpus size and seed for the query-differential gate. The seed
 # defaults to today's date so CI explores a fresh corpus every day;
@@ -43,7 +44,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/serve/... ./internal/whoisd/... ./internal/rdap/... ./internal/obs/... ./internal/crawler/... ./internal/store/... ./internal/lifecycle/... ./internal/tiered/... ./internal/cluster/... ./internal/query/... ./internal/consistency/... ./internal/modelreg/...
+	$(GO) test -race ./internal/serve/... ./internal/whoisd/... ./internal/rdap/... ./internal/obs/... ./internal/crawler/... ./internal/store/... ./internal/lifecycle/... ./internal/tiered/... ./internal/cluster/... ./internal/query/... ./internal/consistency/... ./internal/modelreg/... ./internal/stack/...
 
 bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe|BenchmarkParseDirect' -benchtime 1000x ./internal/serve/
@@ -108,10 +109,13 @@ query-diff:
 # model-verify: end-to-end registry smoke over the real CLI — generate
 # a small corpus, train a model, publish it into a scratch registry,
 # walk it candidate -> shadow -> serving, publish a successor, and run
-# a full checksum verification over everything. This is the runbook in
-# README.md, executed.
+# a full checksum verification over everything. Then boot rdapd on each
+# model source and check the name /admin/model reports: the registry
+# serves default/1.0.0+<crc>, the bare file the implicit
+# default/0.0.0+<crc>. This is the runbook in README.md, executed.
 model-verify:
 	$(GO) build -o /tmp/whoisparse ./cmd/whoisparse
+	$(GO) build -o /tmp/rdapd ./cmd/rdapd
 	@dir=$$(mktemp -d /tmp/modelreg.XXXXXX); set -e; \
 	/tmp/whoisparse gen -n 200 -seed 7 -out $$dir/corpus.labeled; \
 	/tmp/whoisparse train -in $$dir/corpus.labeled -out $$dir/parser.wmdl; \
@@ -121,6 +125,21 @@ model-verify:
 	/tmp/whoisparse model publish -registry $$dir/reg -artifact $$dir/parser.wmdl -version 1.1.0 -parent 1.0.0; \
 	/tmp/whoisparse model verify -registry $$dir/reg; \
 	/tmp/whoisparse model list -registry $$dir/reg; \
+	crc=$$(/tmp/whoisparse model list -registry $$dir/reg -json | grep -o '"crc32c":"[0-9a-f]*"' | head -1 | cut -d'"' -f4); \
+	for src in reg=1.0.0 parser.wmdl=0.0.0; do \
+		model=$$dir/$${src%%=*}; want=default/$${src##*=}+$$crc; \
+		/tmp/rdapd -n 50 -model $$model -debug-addr 127.0.0.1:0 2>$$dir/rdapd.log & pid=$$!; \
+		got=; for i in $$(seq 1 100); do \
+			addr=$$(sed -n 's|.*debug endpoints at http://\([^/]*\)/.*|\1|p' $$dir/rdapd.log); \
+			if [ -n "$$addr" ]; then got=$$(curl -sf http://$$addr/admin/model | grep -o '"version":"[^"]*"' | cut -d'"' -f4); break; fi; \
+			sleep 0.1; \
+		done; \
+		kill $$pid; wait $$pid || true; \
+		if [ "$$got" != "$$want" ]; then \
+			echo "model-verify: rdapd -model $$model reports '$$got', want $$want"; cat $$dir/rdapd.log; rm -rf $$dir; exit 1; \
+		fi; \
+		echo "model-verify: rdapd -model $$model serves $$got"; \
+	done; \
 	rm -rf $$dir; \
 	echo "model-verify: ok"
 

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"log"
@@ -36,23 +35,17 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/consistency"
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/lifecycle"
 	"repro/internal/modelreg"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rdap"
 	"repro/internal/serve"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/synth"
-	"repro/internal/tiered"
-
-	whoisparse "repro"
 )
 
 func main() {
@@ -62,18 +55,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	listen := flag.String("listen", "127.0.0.1:0", "listen address")
 	parseMode := flag.Bool("parse", true, "serve /parsed/{name} via the statistical parser")
-	model := flag.String("model", "", "trained parser model for -parse (empty = train a small one at startup)")
+	model := flag.String("model", "",
+		"model for -parse: a model registry directory (serves -model-family's serving pointer; POST /admin/model/promote|rollback move it) or a bare WMDL file; SIGHUP or POST /admin/reload re-reads it (empty = train a small one at startup)")
+	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
+		"model family: the registry family -model serves, or the family a bare WMDL file is named under")
 	parseWorkers := flag.Int("parse-workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
 	parseQueue := flag.Int("parse-queue", 0, "admission queue depth (0 = 8x workers); overflow answers 503")
 	parseCache := flag.Int("parse-cache", 4096, "parsed-record cache capacity (negative disables)")
-	storeDir := flag.String("store", "", "open this record store for the daemon's lifetime: warm-start the parse cache from its newest segment and serve predicated queries at /admin/query on -debug-addr")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address (empty disables)")
-	lifecycleMode := flag.Bool("lifecycle", false,
-		"manage -model through internal/lifecycle: hot-reload on SIGHUP or POST /admin/reload (requires a WMDL -model)")
-	modelRegDir := flag.String("model-registry", "",
-		"serve the model the registry at this directory marks 'serving' (implies -lifecycle; SIGHUP or POST /admin/reload re-resolves the pointer, POST /admin/model/promote|rollback move it, GET /admin/models lists the registry)")
-	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
-		"registry model family to serve (with -model-registry)")
+	storeDir := flag.String("store", "", "with -parse, open this record store for the daemon's lifetime: warm-start the parse cache from its newest segment and serve predicated queries at /admin/query on -debug-addr")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof and the /admin endpoints on this address (empty disables)")
 	tieredMode := flag.Bool("tiered", false,
 		"serve /parsed/ through the L0 compiled-template fast path with CRF fallback (status at /admin/tiered)")
 	clusterListen := flag.String("cluster-listen", "",
@@ -95,217 +85,44 @@ func main() {
 	srv := rdap.NewServer(domains)
 	srv.Instrument(reg)
 
-	// -store opens the record store once for the whole run: the warm
-	// start streams from it at boot, and the query engine serves
-	// /admin/query over it for as long as the daemon lives, deriving
-	// sidecars in the background whenever a segment seals.
-	var recStore *store.Store
-	var qe *query.Engine
-	if *storeDir != "" {
-		var err error
-		recStore, err = store.Open(*storeDir, store.Options{Metrics: reg})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer recStore.Close()
-		qe = query.New(recStore, query.Options{Metrics: reg})
-		qe.AutoBuild()
-		go func() {
-			if built, err := qe.BuildAll(); err != nil {
-				log.Printf("query: sidecar build: %v (queries fall back where needed)", err)
-			} else if built > 0 {
-				log.Printf("query: built sidecars for %d segments", built)
-			}
-		}()
-	}
-
-	// With -lifecycle the model is owned by a lifecycle.Manager: every
-	// response is stamped with the model version that produced it, the
-	// drift sentinel watches live parses, and the model can be hot-swapped
-	// (SIGHUP, or POST /admin/reload on -debug-addr) with the serving
-	// cache invalidated in the same atomic step.
-	var mgr *lifecycle.Manager
-	var router *tiered.Router
-	var node *cluster.Node
-	// With -model-registry the serving model is whatever the registry's
-	// serving pointer names: boot resolves it, SIGHUP re-resolves it, and
-	// the promote/rollback admin endpoints move it.
-	var modelRegistry *modelreg.Registry
-	if *modelRegDir != "" {
-		var err error
-		modelRegistry, err = modelreg.Open(*modelRegDir, modelreg.Options{
-			Metrics: reg,
-			Log:     obs.NewLogger("modelreg", os.Stderr),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	// parseFn is the same parse the serving layer would run for a cache
-	// miss, kept for the /admin/consistency self-audit: under -lifecycle
-	// it re-resolves the live model on every call so an audit after a
-	// hot-swap scores the model actually serving.
-	var parseFn func(text string) *core.ParsedRecord
+	// The parse-serving stack: the model under a lifecycle manager
+	// (every response stamped with the model that produced it,
+	// hot-swapped on SIGHUP or POST /admin/reload), the optional L0
+	// router, the serving cache and worker pool, the optional store
+	// with warm start, and the optional cluster node.
+	var st *stack.Stack
 	if *parseMode {
-		// With -tiered, head-of-distribution registrars are served by
-		// compiled templates (L0) and everything L0 cannot vouch for —
-		// unknown registrar, template mismatch, low match confidence,
-		// demoted template — falls back to the CRF (L1). Templates come
-		// from the same labeled training distribution the default parser
-		// trains on.
-		if *tieredMode {
-			trecs := synth.GenerateLabeled(synth.Config{N: 200, Seed: *seed + 7919})
-			router = tiered.NewFromRecords(trecs, core.DefaultConfig().Tokenize,
-				tiered.Options{Metrics: reg})
-			log.Printf("tiered: %d registrar templates compiled (L0 fast path on)",
-				router.Status().Templates)
-		}
-		var p *core.Parser
-		if modelRegistry != nil {
-			var err error
-			mgr, err = lifecycle.NewFromRegistry(modelRegistry, *modelFamily, lifecycle.Options{
-				Metrics: reg,
-				Log:     obs.NewLogger("lifecycle", os.Stderr),
-				Tiered:  router,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("modelreg: serving %s (%s) from %s", snap.Version, snap.Info, *modelRegDir)
-			p = snap.Parser
-		} else if *lifecycleMode {
-			if *model == "" {
-				log.Fatal("-lifecycle requires -model (a WMDL artifact to reload from)")
-			}
-			var err error
-			mgr, err = lifecycle.NewFromFile(*model, lifecycle.Options{
-				Metrics: reg,
-				Log:     obs.NewLogger("lifecycle", os.Stderr),
-				Tiered:  router,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("lifecycle: serving model %s (%s)", snap.Version, snap.Info)
-			p = snap.Parser
-		} else {
-			var err error
-			p, err = loadOrTrainParser(*model, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p.Instrument(reg)
-		}
-		ps := serve.New(p, serve.Options{
-			Workers:       *parseWorkers,
-			QueueDepth:    *parseQueue,
-			CacheCapacity: *parseCache,
-			Metrics:       reg,
+		var err error
+		st, err = stack.Open(stack.Config{
+			Model:  *model,
+			Family: *modelFamily,
+			Seed:   *seed,
+			Tiered: *tieredMode,
+			Serve: serve.Options{
+				Workers:       *parseWorkers,
+				QueueDepth:    *parseQueue,
+				CacheCapacity: *parseCache,
+			},
+			Store: *storeDir,
+			Cluster: stack.ClusterConfig{
+				Listen: *clusterListen,
+				ID:     *clusterID,
+				Peers:  *peersFlag,
+				Join:   *clusterJoin,
+			},
+			Metrics: reg,
+			Log:     log.Default(),
 		})
-		defer func() {
-			ps.Close() // drain in-flight parses after the listener stops
-			log.Printf("parse serving: %s", ps.Stats())
-		}()
-		if mgr != nil {
-			mgr.Attach(ps)
-			parseFn = mgr.Parse
-		} else if router != nil {
-			// Without lifecycle, bind the router directly over the plain
-			// parser; the lifecycle path routes via Options.Tiered.
-			ps.SetParseFunc(router.Bind(p.Parse))
-			parseFn = router.Bind(p.Parse)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer st.Close() // drain in-flight parses after the listener stops
+		if st.Node != nil {
+			srv.EnableParsedBackend(st.Node, domains)
 		} else {
-			parseFn = p.Parse
+			srv.EnableParsed(st.Serve, domains)
 		}
-		if recStore != nil {
-			// Under -lifecycle only records stamped by the exact model
-			// being served may seed the cache; anything else would be
-			// unattributable (or misattributed) after the first reload.
-			wantVersion := ""
-			if mgr != nil {
-				wantVersion = mgr.Current().Version
-			}
-			n, err := warmStart(ps, recStore, wantVersion)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("warm start: preloaded %d parsed records from %s", n, *storeDir)
-		}
-		if *clusterListen != "" {
-			// Cluster mode: every /parsed/ request routes through the
-			// consistent-hash ring — this node serves its own slice of the
-			// domain space and forwards the rest to the owning shard.
-			ln, err := net.Listen("tcp", *clusterListen)
-			if err != nil {
-				log.Fatal(err)
-			}
-			id := *clusterID
-			if id == "" {
-				id = ln.Addr().String()
-			}
-			node, err = cluster.NewNode(ps, mgr, cluster.Options{
-				ID:      id,
-				Addr:    ln.Addr().String(),
-				Metrics: reg,
-				Log:     obs.NewLogger("cluster", os.Stderr),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer node.Close()
-			for _, spec := range strings.Split(*peersFlag, ",") {
-				spec = strings.TrimSpace(spec)
-				if spec == "" {
-					continue
-				}
-				pid, paddr, ok := strings.Cut(spec, "=")
-				if !ok {
-					pid, paddr = spec, spec
-				}
-				node.AddPeer(pid, cluster.DialTCP(paddr))
-			}
-			if modelRegistry != nil {
-				// Joining peers always fetch whatever the registry says is
-				// serving right now — a promote between joins changes what
-				// the next peer receives, with no daemon restart.
-				fam := *modelFamily
-				node.SetModelProvider(func() ([]byte, error) {
-					res, err := modelRegistry.ResolveServing(fam)
-					if err != nil {
-						return nil, err
-					}
-					return os.ReadFile(res.Path)
-				})
-			} else if *model != "" {
-				// Serve our on-disk artifact to joining peers.
-				data, err := os.ReadFile(*model)
-				if err != nil {
-					log.Fatal(err)
-				}
-				node.SetModelArtifact(data)
-			}
-			if *clusterJoin != "" {
-				// Join path: pull the fleet's serving model and verify its
-				// CRC before this node answers anyone.
-				jc := cluster.DialTCP(*clusterJoin)
-				jctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-				version, err := node.JoinFetchModel(jctx, jc)
-				cancel()
-				jc.Close()
-				if err != nil {
-					log.Fatal(err)
-				}
-				log.Printf("cluster: joined via %s, serving model %s", *clusterJoin, version)
-			}
-			shardSrv := cluster.ServeTCP(ln, node, obs.NewLogger("cluster", os.Stderr))
-			defer shardSrv.Close()
-			log.Printf("cluster: shard %s on %s, %d ring members", id, ln.Addr(), node.Ring().Len())
-			srv.EnableParsedBackend(node, domains)
-		} else {
-			srv.EnableParsed(ps, domains)
-		}
+		st.ReloadOnSIGHUP()
 	}
 
 	addr, err := srv.Listen(*listen)
@@ -319,54 +136,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mux := obs.DebugMux(reg)
-		if mgr != nil {
-			if modelRegistry != nil {
-				mux.HandleFunc("/admin/reload", adminReloadServing(mgr))
-			} else {
-				mux.HandleFunc("/admin/reload", adminReload(mgr, *model))
-			}
-			mux.HandleFunc("/admin/model", adminModel(mgr))
-		}
-		if modelRegistry != nil {
-			mux.HandleFunc("/admin/models", adminModels(modelRegistry))
-			mux.HandleFunc("/admin/model/promote", adminStageMove(modelRegistry, mgr, node, *modelFamily, false))
-			mux.HandleFunc("/admin/model/rollback", adminStageMove(modelRegistry, mgr, node, *modelFamily, true))
-		}
-		if router != nil {
-			mux.HandleFunc("/admin/tiered", adminTiered(router))
-		}
-		if node != nil {
-			mux.HandleFunc("/admin/cluster", adminCluster(node))
-		}
-		if qe != nil {
-			mux.HandleFunc("/admin/query", adminQuery(qe))
-		}
-		if parseFn != nil {
-			mux.HandleFunc("/admin/consistency", adminConsistency(domains, parseFn))
-		}
-		dbg := &http.Server{Handler: mux}
+		dbg := &http.Server{Handler: debugMux(reg, st, domains)}
 		go func() { _ = dbg.Serve(dl) }()
 		defer dbg.Close()
-		log.Printf("debug endpoints at http://%s/debug/vars and /debug/pprof/", dl.Addr())
-		if mgr != nil {
-			log.Printf("model admin at http://%s/admin/model (POST /admin/reload to hot-swap)", dl.Addr())
-		}
-		if modelRegistry != nil {
-			log.Printf("model registry at http://%s/admin/models (POST /admin/model/promote|rollback?version=...)", dl.Addr())
-		}
-		if router != nil {
-			log.Printf("tier status at http://%s/admin/tiered", dl.Addr())
-		}
-		if node != nil {
-			log.Printf("cluster status at http://%s/admin/cluster", dl.Addr())
-		}
-		if qe != nil {
-			log.Printf("store queries at http://%s/admin/query?registrar=...&country=...&year=...&since=...", dl.Addr())
-		}
-		if parseFn != nil {
-			log.Printf("cross-protocol self-audit at http://%s/admin/consistency?limit=...", dl.Addr())
-		}
+		log.Printf("debug endpoints at http://%s/debug/vars, /debug/pprof/ and /admin/ (model, reload, consistency, ...)", dl.Addr())
 	}
 	log.Printf("serving %d domains at http://%s/domain/{name}", *n, addr)
 	if *parseMode {
@@ -376,200 +149,27 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if mgr != nil {
-		// SIGHUP = "re-read the model source and swap it live", the
-		// classic daemon reload contract: with -model-registry that means
-		// re-resolving the serving pointer (a promote on another process
-		// becomes visible), otherwise re-reading -model from disk. A bad
-		// artifact is rejected with the old model still serving.
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				var snap *lifecycle.Snapshot
-				var err error
-				if modelRegistry != nil {
-					var changed bool
-					snap, changed, err = mgr.ReloadServing()
-					if err == nil && !changed {
-						log.Printf("SIGHUP reload: %s still serving (registry pointer unchanged)", snap.Version)
-						continue
-					}
-				} else {
-					snap, err = mgr.ReloadFromFile(*model)
-				}
-				if err != nil {
-					log.Printf("SIGHUP reload failed (still serving %s): %v",
-						mgr.Current().Version, err)
-					continue
-				}
-				log.Printf("SIGHUP reload: now serving %s (%s)", snap.Version, snap.Info)
-			}
-		}()
-	}
 	<-sig
 	log.Printf("shutting down")
 }
 
-// adminReload hot-swaps the model from the artifact path on POST — the
-// HTTP twin of SIGHUP, for orchestrators that would rather curl than
-// signal.
-func adminReload(mgr *lifecycle.Manager, model string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		snap, err := mgr.ReloadFromFile(model)
-		if err != nil {
-			log.Printf("admin reload failed (still serving %s): %v", mgr.Current().Version, err)
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		log.Printf("admin reload: now serving %s (%s)", snap.Version, snap.Info)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"version": snap.Version, "seq": snap.Seq, "artifact": snap.Info.String(),
-		})
+// debugMux is the -debug-addr surface: /debug/vars and /debug/pprof,
+// the stack's /admin endpoints (model, registry, tiered, cluster), and
+// — over the stack — /admin/query and the /admin/consistency
+// self-audit. st may be nil (-parse=false).
+func debugMux(reg *obs.Registry, st *stack.Stack, domains []*synth.Domain) *http.ServeMux {
+	mux := obs.DebugMux(reg)
+	if st == nil {
+		return mux
 	}
-}
-
-// adminReloadServing re-resolves the registry's serving pointer on POST
-// — the HTTP twin of SIGHUP for registry-backed daemons.
-func adminReloadServing(mgr *lifecycle.Manager) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		snap, changed, err := mgr.ReloadServing()
-		if err != nil {
-			log.Printf("admin reload failed (still serving %s): %v", mgr.Current().Version, err)
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		if changed {
-			log.Printf("admin reload: now serving %s (%s)", snap.Version, snap.Info)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"version": snap.Version, "seq": snap.Seq,
-			"artifact": snap.Info.String(), "changed": changed,
-		})
+	st.AdminHandlers(mux)
+	if st.Query != nil {
+		mux.HandleFunc("/admin/query", adminQuery(st.Query))
 	}
-}
-
-// adminModels lists the registry: every family's stages and versions,
-// with provenance highlights — the fleet-wide "what could we serve"
-// view next to /admin/model's "what are we serving".
-func adminModels(reg *modelreg.Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		listings, err := reg.List()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(listings)
-	}
-}
-
-// adminStageMove advances (?version=V one stage: candidate → shadow →
-// serving) or rolls back the family's serving pointer on POST, then
-// makes the daemon converge on the registry's new serving version:
-// ReloadServing swaps this process, and — when clustered — a Rollout
-// pushes the artifact to every peer so the ring moves together.
-func adminStageMove(reg *modelreg.Registry, mgr *lifecycle.Manager, node *cluster.Node, defaultFamily string, rollback bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST required", http.StatusMethodNotAllowed)
-			return
-		}
-		family := r.URL.Query().Get("family")
-		if family == "" {
-			family = defaultFamily
-		}
-		version := r.URL.Query().Get("version")
-		if version == "" {
-			http.Error(w, "version query parameter required", http.StatusBadRequest)
-			return
-		}
-		var stage modelreg.Stage
-		var err error
-		if rollback {
-			stage, err = modelreg.StageServing, reg.Rollback(family, version)
-		} else {
-			stage, err = reg.Promote(family, version)
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		resp := map[string]any{"family": family, "version": version, "stage": stage.String()}
-		if stage == modelreg.StageServing && mgr != nil {
-			snap, changed, rerr := mgr.ReloadServing()
-			if rerr != nil {
-				http.Error(w, rerr.Error(), http.StatusUnprocessableEntity)
-				return
-			}
-			resp["serving"], resp["swapped"] = snap.Version, changed
-			if node != nil && changed {
-				res, rerr := reg.ResolveServing(family)
-				if rerr == nil {
-					if data, ferr := os.ReadFile(res.Path); ferr == nil {
-						ctx, cancel := context.WithTimeout(r.Context(), time.Minute)
-						report, roerr := node.Rollout(ctx, data, 0)
-						cancel()
-						if roerr != nil {
-							log.Printf("admin %s: cluster rollout: %v", stage, roerr)
-						}
-						resp["rollout"] = report
-					}
-				}
-			}
-		}
-		log.Printf("admin stage move: %s/%s -> %s", family, version, stage)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(resp)
-	}
-}
-
-// adminModel reports which model is live and what the drift sentinel
-// thinks of it.
-func adminModel(mgr *lifecycle.Manager) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		snap := mgr.Current()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(map[string]any{
-			"version":  snap.Version,
-			"seq":      snap.Seq,
-			"artifact": snap.Info.String(),
-			"path":     snap.Path,
-			"state":    mgr.State().String(),
-			"flagged":  mgr.Flagged(),
-		})
-	}
-}
-
-// adminCluster reports the node's view of the ring: its own status,
-// per-member ownership fractions, and a live poll of every peer.
-func adminCluster(node *cluster.Node) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-		defer cancel()
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(node.ClusterStatus(ctx))
-	}
-}
-
-// adminTiered reports the L0 router's template and counter state: how
-// many templates compiled, which are demoted, and the per-tier serve
-// counts (also exported as tiered.* in /debug/vars).
-func adminTiered(router *tiered.Router) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(router.Status())
-	}
+	// The audit parses with the live model on every call, so an audit
+	// after a hot swap scores the model actually serving.
+	mux.HandleFunc("/admin/consistency", adminConsistency(domains, st.Model.Parse))
+	return mux
 }
 
 // adminQuery answers a predicate over the opened record store through
@@ -713,42 +313,4 @@ func yearCounts(m map[int]int) []yearCount {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Year < out[j].Year })
 	return out
-}
-
-// warmStart replays the newest store segment (the records written
-// closest to the previous shutdown) into the serving cache: records that
-// carry both their raw text and a parsed view preload under the same
-// cache key a live request for that text would compute. When wantVersion
-// is non-empty, only records stamped by that exact model version are
-// admitted.
-func warmStart(ps *serve.Server, st *store.Store, wantVersion string) (int, error) {
-	it := st.IterNewestSegment()
-	defer it.Close()
-	n := 0
-	for it.Next() {
-		rec := it.Record()
-		if rec.Text == "" || rec.Parsed == nil {
-			continue // thin or unparsed records cannot seed the cache
-		}
-		if wantVersion != "" && rec.Parsed.ModelVersion != wantVersion {
-			continue // parsed by a different (or unknown) model
-		}
-		ps.Preload(rec.Text, rec.Parsed)
-		n++
-	}
-	return n, it.Err()
-}
-
-// loadOrTrainParser loads a saved model, or — so /parsed/ works out of
-// the box — trains a small parser on a labeled synthetic corpus drawn
-// from a seed distinct from the served ecosystem's.
-func loadOrTrainParser(model string, seed int64) (*core.Parser, error) {
-	if model != "" {
-		log.Printf("loading parser from %s", model)
-		return whoisparse.Load(model)
-	}
-	log.Printf("no -model given; training a small parser (use -model for a full one)")
-	recs := synth.GenerateLabeled(synth.Config{N: 200, Seed: seed + 7919})
-	p, _, err := experiments.TrainParser(recs, experiments.Quick())
-	return p, err
 }

@@ -11,14 +11,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/lifecycle"
 	"repro/internal/modelreg"
+	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
 
 // registryFixture publishes two versions into a fresh registry —
-// 1.0.0 promoted to serving, 1.1.0 staged as candidate — and returns a
-// registry-backed Manager serving 1.0.0.
-func registryFixture(t *testing.T) (*modelreg.Registry, *lifecycle.Manager) {
+// 1.0.0 promoted to serving, 1.1.0 staged as candidate — opens the
+// serving stack with -model pointing at the registry, and returns the
+// registry, the live model manager, and the daemon's debug mux.
+func registryFixture(t *testing.T) (*modelreg.Registry, *lifecycle.Manager, http.Handler) {
 	t.Helper()
 	recs := synth.GenerateLabeled(synth.Config{N: 80, Seed: 29})
 	pA, _, err := core.Train(recs[:40], core.DefaultConfig())
@@ -66,11 +69,12 @@ func registryFixture(t *testing.T) (*modelreg.Registry, *lifecycle.Manager) {
 		t.Fatal(err)
 	}
 
-	mgr, err := lifecycle.NewFromRegistry(reg, fam, lifecycle.Options{})
+	st, err := stack.Open(stack.Config{Model: reg.Root()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg, mgr
+	t.Cleanup(func() { st.Close() })
+	return reg, st.Model, debugMux(obs.NewRegistry(), st, nil)
 }
 
 func postJSON(t *testing.T, h http.Handler, target string) (int, map[string]any) {
@@ -91,17 +95,15 @@ func postJSON(t *testing.T, h http.Handler, target string) (int, map[string]any)
 // it, and rolls back — the prior serving version must still be on disk,
 // verify clean, and come back live.
 func TestAdminStageMoveDrivesRegistry(t *testing.T) {
-	reg, mgr := registryFixture(t)
+	reg, mgr, mux := registryFixture(t)
 	fam := modelreg.DefaultFamily
-	promote := adminStageMove(reg, mgr, nil, fam, false)
-	rollback := adminStageMove(reg, mgr, nil, fam, true)
 
 	if !strings.HasPrefix(mgr.Current().Version, fam+"/1.0.0+") {
 		t.Fatalf("fixture serving %q", mgr.Current().Version)
 	}
 
 	// candidate -> shadow: the daemon keeps serving 1.0.0.
-	code, body := postJSON(t, promote, "/admin/model/promote?version=1.1.0")
+	code, body := postJSON(t, mux, "/admin/model/promote?version=1.1.0")
 	if code != http.StatusOK || body["stage"] != "shadow" {
 		t.Fatalf("promote to shadow: %d %v", code, body)
 	}
@@ -110,7 +112,7 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 	}
 
 	// shadow -> serving: the daemon swaps in the same request.
-	code, body = postJSON(t, promote, "/admin/model/promote?version=1.1.0")
+	code, body = postJSON(t, mux, "/admin/model/promote?version=1.1.0")
 	if code != http.StatusOK || body["stage"] != "serving" || body["swapped"] != true {
 		t.Fatalf("promote to serving: %d %v", code, body)
 	}
@@ -124,7 +126,7 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 	}
 
 	// Rollback restores it, live.
-	code, body = postJSON(t, rollback, "/admin/model/rollback?version=1.0.0")
+	code, body = postJSON(t, mux, "/admin/model/rollback?version=1.0.0")
 	if code != http.StatusOK || body["swapped"] != true {
 		t.Fatalf("rollback: %d %v", code, body)
 	}
@@ -135,14 +137,14 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 	// Guard rails: GET is rejected, a missing version is a 400, an
 	// illegal transition surfaces as 422.
 	rr := httptest.NewRecorder()
-	promote.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/model/promote?version=1.1.0", nil))
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/model/promote?version=1.1.0", nil))
 	if rr.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET promote = %d", rr.Code)
 	}
-	if code, _ := postJSON(t, promote, "/admin/model/promote"); code != http.StatusBadRequest {
+	if code, _ := postJSON(t, mux, "/admin/model/promote"); code != http.StatusBadRequest {
 		t.Errorf("promote without version = %d", code)
 	}
-	if code, _ := postJSON(t, promote, "/admin/model/promote?version=9.9.9"); code != http.StatusUnprocessableEntity {
+	if code, _ := postJSON(t, mux, "/admin/model/promote?version=9.9.9"); code != http.StatusUnprocessableEntity {
 		t.Errorf("promote of absent version = %d", code)
 	}
 }
@@ -151,10 +153,9 @@ func TestAdminStageMoveDrivesRegistry(t *testing.T) {
 // POST-only no-op while the pointer is unchanged, and /admin/models
 // lists every version with its stage.
 func TestAdminReloadServingAndModels(t *testing.T) {
-	reg, mgr := registryFixture(t)
+	reg, mgr, mux := registryFixture(t)
 
-	reload := adminReloadServing(mgr)
-	code, body := postJSON(t, reload, "/admin/reload")
+	code, body := postJSON(t, mux, "/admin/reload")
 	if code != http.StatusOK || body["changed"] != false {
 		t.Fatalf("idle reload: %d %v", code, body)
 	}
@@ -162,7 +163,7 @@ func TestAdminReloadServingAndModels(t *testing.T) {
 		t.Fatalf("reload reported %v, serving %q", body["version"], mgr.Current().Version)
 	}
 	rr := httptest.NewRecorder()
-	reload.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/reload", nil))
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/reload", nil))
 	if rr.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET reload = %d", rr.Code)
 	}
@@ -173,7 +174,7 @@ func TestAdminReloadServingAndModels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	code, body = postJSON(t, reload, "/admin/reload")
+	code, body = postJSON(t, mux, "/admin/reload")
 	if code != http.StatusOK || body["changed"] != true {
 		t.Fatalf("post-promote reload: %d %v", code, body)
 	}
@@ -182,7 +183,7 @@ func TestAdminReloadServingAndModels(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	adminModels(reg).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/models", nil))
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/models", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("GET models = %d: %s", rr.Code, rr.Body.String())
 	}

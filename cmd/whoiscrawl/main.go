@@ -7,14 +7,17 @@
 // record store as it completes (checkpointed, crash-safe); -resume skips
 // domains already in that store, so an interrupted crawl picks up where
 // its last checkpoint left off instead of starting over. With -model the
-// records are parsed before persisting, so the store is survey-ready.
+// records are parsed before persisting, so the store is survey-ready,
+// and each record is stamped with the model's canonical name — the name
+// a daemon serving the same -model stamps, so rdapd -store warm-starts
+// from the crawled store.
 //
 // Usage:
 //
 //	whoiscrawl [-dir whois_servers.txt] [-zone zone.txt] [-out records.txt]
 //	           [-workers 16] [-sources 127.0.0.2,127.0.0.3,127.0.0.4]
-//	           [-store storedir] [-resume] [-model parser.model]
-//	           [-model-registry DIR [-model-family default]]
+//	           [-store storedir] [-resume]
+//	           [-model parser.wmdl|registry-dir [-model-family default]]
 package main
 
 import (
@@ -28,13 +31,13 @@ import (
 	"time"
 
 	"repro/internal/crawler"
+	"repro/internal/lifecycle"
 	"repro/internal/modelreg"
 	"repro/internal/obs"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/whoisclient"
 	"repro/internal/whoisd"
-
-	whoisparse "repro"
 )
 
 func main() {
@@ -48,11 +51,10 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall crawl deadline")
 	storeDir := flag.String("store", "", "stream crawled records into this persistent store directory")
 	resume := flag.Bool("resume", false, "skip domains already persisted in -store (resume an interrupted crawl)")
-	modelFile := flag.String("model", "", "parse records with this trained model before persisting (requires -store)")
-	modelRegDir := flag.String("model-registry", "",
-		"parse with the model this registry directory marks 'serving' (requires -store; overrides -model)")
+	modelFile := flag.String("model", "",
+		"parse records before persisting with this model: a model registry directory (serves -model-family's serving pointer) or a bare WMDL file (requires -store)")
 	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
-		"registry model family to resolve (with -model-registry)")
+		"model family: the registry family -model serves, or the family a bare WMDL file is named under")
 	verbose := flag.Bool("v", false, "log per-query diagnostics (rate limits, retries)")
 	flag.Parse()
 
@@ -67,8 +69,8 @@ func main() {
 	if *resume && *storeDir == "" {
 		log.Fatal("-resume requires -store")
 	}
-	if (*modelFile != "" || *modelRegDir != "") && *storeDir == "" {
-		log.Fatal("-model/-model-registry requires -store")
+	if *modelFile != "" && *storeDir == "" {
+		log.Fatal("-model requires -store")
 	}
 
 	// The crawl registry accumulates per-host retry/rate-limit/byte
@@ -110,47 +112,10 @@ func main() {
 			log.Printf("resume: skipping %d already-persisted domains, %d remain", len(domains)-len(kept), len(kept))
 			domains = kept
 		}
-		opts := store.SinkOptions{}
-		if *modelRegDir != "" {
-			// Resolve the registry's serving pointer and stamp records
-			// with the canonical "<family>/<semver>+<crc32c>" string —
-			// the same identity registry-backed daemons stamp, so the
-			// crawled corpus segments cleanly against served traffic.
-			mreg, err := modelreg.Open(*modelRegDir, modelreg.Options{Metrics: reg})
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err := mreg.ResolveServing(*modelFamily)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p, err := store.LoadModel(res.Path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts.Parse = p.Parse
-			opts.ModelVersion = res.VersionString()
-			log.Printf("parsing with registry model %s (%s); records stamped with that identity",
-				res.VersionString(), res.Info)
-		} else if *modelFile != "" {
-			p, err := whoisparse.Load(*modelFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts.Parse = p.Parse
-			// Stamp every persisted record with the parsing model's
-			// WMDL identity, so later drift analysis can segment the
-			// corpus by the model that read it. Legacy bare-gob models
-			// have no identity to stamp.
-			if info, err := store.StatModel(*modelFile); err == nil {
-				opts.ModelVersion = info.String()
-				log.Printf("parsing with %s (%s); records stamped with that identity",
-					*modelFile, info)
-			} else {
-				log.Printf("parsing with legacy model %s (no WMDL identity: %v)", *modelFile, err)
-			}
+		sink, err = newSink(st, *modelFile, *modelFamily, reg)
+		if err != nil {
+			log.Fatal(err)
 		}
-		sink = store.NewSink(st, opts)
 	}
 
 	c, err := crawler.New(crawler.Config{
@@ -227,6 +192,24 @@ func main() {
 		log.Printf("stats dump failed: %v", err)
 	}
 	fmt.Fprintln(os.Stderr)
+}
+
+// newSink streams crawled records into st. With a model it parses each
+// record first, through the stack's model opener, so every record is
+// stamped with the model's canonical "<family>/<semver>+<crc32c>" — the
+// name a serving stack over the same model stamps.
+func newSink(st *store.Store, model, family string, reg *obs.Registry) (*store.Sink, error) {
+	var opts store.SinkOptions
+	if model != "" {
+		mgr, err := stack.OpenModel(model, family, 0, lifecycle.Options{Metrics: reg})
+		if err != nil {
+			return nil, err
+		}
+		opts.Parse = mgr.Parse // stamps every record with the model's name
+		log.Printf("parsing with %s (%s); records stamped with that identity",
+			mgr.Current().Version, mgr.Current().Info)
+	}
+	return store.NewSink(st, opts), nil
 }
 
 // thinRegistrar extracts the "Registrar:" value from a thin record.

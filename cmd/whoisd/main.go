@@ -5,17 +5,19 @@
 // the registered domains, then serves until interrupted.
 //
 // With -parse (default on) every server also answers "--parse <domain>"
-// queries: the record is run through the shared parse-serving layer
-// (internal/serve: cache + coalescing + bounded workers) and returned as
-// a labeled field summary instead of raw text. The parser comes from
-// -model, or is trained on a small synthetic corpus at startup.
+// queries: the record is run through the shared parse-serving stack
+// (internal/stack: the model under a lifecycle manager, then
+// internal/serve's cache + coalescing + bounded workers) and returned as
+// a labeled field summary instead of raw text. The model comes from
+// -model — a model registry directory or a bare WMDL file, re-read on
+// SIGHUP — or is trained on a small synthetic corpus at startup.
 //
 // Usage:
 //
 //	whoisd [-n 5000] [-seed 1] [-limit 25] [-window 500ms] [-penalty 1s]
 //	       [-dir whois_servers.txt] [-zone zone.txt] [-fail 0.075]
-//	       [-parse] [-model parser.model] [-parse-workers 0] [-parse-cache 4096]
-//	       [-model-registry DIR [-model-family default]]
+//	       [-parse] [-model parser.wmdl|registry-dir [-model-family default]]
+//	       [-parse-workers 0] [-parse-cache 4096]
 package main
 
 import (
@@ -30,18 +32,13 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/lifecycle"
 	"repro/internal/modelreg"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/serve"
+	"repro/internal/stack"
 	"repro/internal/synth"
-	"repro/internal/tiered"
 	"repro/internal/whoisd"
-
-	whoisparse "repro"
 )
 
 func main() {
@@ -56,16 +53,13 @@ func main() {
 	zoneFile := flag.String("zone", "zone.txt", "zone file to write (one domain per line)")
 	failFrac := flag.Float64("fail", 0.075, "fraction of domains whose thick record is withheld")
 	parseMode := flag.Bool("parse", true, "answer '--parse <domain>' queries with the parsed-field summary")
-	model := flag.String("model", "", "trained parser model for -parse (empty = train a small one at startup)")
+	model := flag.String("model", "",
+		"model for -parse: a model registry directory (serves -model-family's serving pointer) or a bare WMDL file; SIGHUP re-reads it (empty = train a small one at startup)")
+	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
+		"model family: the registry family -model serves, or the family a bare WMDL file is named under")
 	parseWorkers := flag.Int("parse-workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
 	parseCache := flag.Int("parse-cache", 4096, "parsed-record cache capacity (negative disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the metrics registry as JSON on this address (empty disables)")
-	lifecycleMode := flag.Bool("lifecycle", false,
-		"manage -model through internal/lifecycle: hot-reload on SIGHUP (requires a WMDL -model)")
-	modelRegDir := flag.String("model-registry", "",
-		"serve the model this registry directory marks 'serving' (implies -lifecycle; SIGHUP re-resolves the pointer)")
-	modelFamily := flag.String("model-family", modelreg.DefaultFamily,
-		"registry model family to serve (with -model-registry)")
 	tieredMode := flag.Bool("tiered", false,
 		"answer '--parse' via the L0 compiled-template fast path with CRF fallback (tiered.* in the stats dump)")
 	flag.Parse()
@@ -76,80 +70,32 @@ func main() {
 	reg := obs.NewRegistry()
 	logger := obs.NewLogger("whoisd", os.Stderr)
 
-	var modelRegistry *modelreg.Registry
-	if *modelRegDir != "" {
-		var err error
-		modelRegistry, err = modelreg.Open(*modelRegDir, modelreg.Options{
-			Metrics: reg, Log: obs.NewLogger("modelreg", os.Stderr),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		*lifecycleMode = true
-	}
-
 	log.Printf("generating %d domains (seed %d)", *n, *seed)
 	domains := synth.Generate(synth.Config{N: *n, Seed: *seed, BrandFraction: 0.02})
 	eco := registry.BuildEcosystem(domains, *failFrac)
 
+	// Every registrar server shares one serving stack, so a SIGHUP
+	// reload swaps the model into all of them at once; a bad artifact
+	// is rejected with the old model still live.
+	var st *stack.Stack
 	var ps *serve.Server
-	var mgr *lifecycle.Manager
-	var router *tiered.Router
 	if *parseMode {
-		// With -tiered, in-template registrars are answered by compiled
-		// templates (L0); everything else — unknown registrar, mismatch,
-		// low confidence, demoted — falls back to the CRF (L1). Per-tier
-		// counters land in the shared registry and the shutdown dump.
-		if *tieredMode {
-			trecs := synth.GenerateLabeled(synth.Config{N: 200, Seed: *seed + 7919})
-			router = tiered.NewFromRecords(trecs, core.DefaultConfig().Tokenize,
-				tiered.Options{Metrics: reg})
-			log.Printf("tiered: %d registrar templates compiled (L0 fast path on)",
-				router.Status().Templates)
+		var err error
+		st, err = stack.Open(stack.Config{
+			Model:   *model,
+			Family:  *modelFamily,
+			Seed:    *seed,
+			Tiered:  *tieredMode,
+			Serve:   serve.Options{Workers: *parseWorkers, CacheCapacity: *parseCache},
+			Metrics: reg,
+			Log:     log.Default(),
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-		var p *core.Parser
-		if modelRegistry != nil {
-			var err error
-			mgr, err = lifecycle.NewFromRegistry(modelRegistry, *modelFamily,
-				lifecycle.Options{Metrics: reg, Log: logger, Tiered: router})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("modelreg: serving %s (%s) from %s; SIGHUP re-resolves the serving pointer",
-				snap.Version, snap.Info, *modelRegDir)
-			p = snap.Parser
-		} else if *lifecycleMode {
-			if *model == "" {
-				log.Fatal("-lifecycle requires -model (a WMDL artifact to reload from)")
-			}
-			var err error
-			mgr, err = lifecycle.NewFromFile(*model, lifecycle.Options{Metrics: reg, Log: logger, Tiered: router})
-			if err != nil {
-				log.Fatal(err)
-			}
-			snap := mgr.Current()
-			log.Printf("lifecycle: serving model %s (%s); SIGHUP hot-reloads %s",
-				snap.Version, snap.Info, *model)
-			p = snap.Parser
-		} else {
-			var err error
-			p, err = loadOrTrainParser(*model, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			p.Instrument(reg)
-		}
-		ps = serve.New(p, serve.Options{Workers: *parseWorkers, CacheCapacity: *parseCache, Metrics: reg})
-		defer func() {
-			ps.Close() // drain in-flight parses before exit
-			log.Printf("parse serving: %s", ps.Stats())
-		}()
-		if mgr != nil {
-			mgr.Attach(ps)
-		} else if router != nil {
-			ps.SetParseFunc(router.Bind(p.Parse))
-		}
+		defer st.Close() // drain in-flight parses before exit
+		st.ReloadOnSIGHUP()
+		ps = st.Serve
 		log.Printf("parse mode on: try '--parse <domain>' against any server")
 	}
 
@@ -193,43 +139,8 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if mgr != nil {
-		// SIGHUP re-resolves the registry's serving pointer (registry
-		// mode) or re-reads -model, and swaps the result into every
-		// registrar server at once (they share the serving layer); a bad
-		// artifact is rejected with the old model still live.
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				var snap *lifecycle.Snapshot
-				var err error
-				if modelRegistry != nil {
-					var changed bool
-					snap, changed, err = mgr.ReloadServing()
-					if err == nil && !changed {
-						log.Printf("SIGHUP: registry pointer unchanged, still serving %s", snap.Version)
-						continue
-					}
-				} else {
-					snap, err = mgr.ReloadFromFile(*model)
-				}
-				if err != nil {
-					log.Printf("SIGHUP reload failed (still serving %s): %v",
-						mgr.Current().Version, err)
-					continue
-				}
-				log.Printf("SIGHUP reload: now serving %s (%s)", snap.Version, snap.Info)
-			}
-		}()
-	}
 	<-sig
 	log.Printf("shutting down")
-	if router != nil {
-		st := router.Status()
-		log.Printf("tiered: %d templates (%d demoted), l0 hits %d, demoted serves %d, l1 fallbacks %d",
-			st.Templates, len(st.Demoted), st.L0Hits, st.L0Demoted, st.L1Fallbacks)
-	}
 	dumpStats(reg)
 }
 
@@ -259,20 +170,6 @@ func writeDirectory(path string, cluster *whoisd.Cluster) error {
 		fmt.Fprintf(f, "%s %s\n", name, addr)
 	}
 	return f.Close()
-}
-
-// loadOrTrainParser loads a saved model, or — so parse mode works out of
-// the box — trains a small parser on a labeled synthetic corpus drawn
-// from a seed distinct from the served ecosystem's.
-func loadOrTrainParser(model string, seed int64) (*core.Parser, error) {
-	if model != "" {
-		log.Printf("loading parser from %s", model)
-		return whoisparse.Load(model)
-	}
-	log.Printf("no -model given; training a small parser (use -model for a full one)")
-	recs := synth.GenerateLabeled(synth.Config{N: 200, Seed: seed + 7919})
-	p, _, err := experiments.TrainParser(recs, experiments.Quick())
-	return p, err
 }
 
 func writeZone(path string, domains []*synth.Domain) error {

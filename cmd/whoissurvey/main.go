@@ -47,15 +47,14 @@ import (
 	"strings"
 
 	"repro/internal/consistency"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/rdap"
 	"repro/internal/serve"
+	"repro/internal/stack"
 	"repro/internal/store"
 	"repro/internal/survey"
 	"repro/internal/synth"
-	"repro/internal/tiered"
 
 	whoisparse "repro"
 )
@@ -63,7 +62,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("whoissurvey: ")
-	model := flag.String("model", "parser.model", "trained model file")
+	model := flag.String("model", "parser.model", "model to parse with: a bare WMDL file or a model registry directory (its default family's serving model)")
 	in := flag.String("in", "", "records file from whoiscrawl")
 	dblFile := flag.String("dbl", "", "optional blacklist file (one domain per line)")
 	synthetic := flag.Int("synthetic", 0, "generate and survey N synthetic records instead of -in")
@@ -149,28 +148,28 @@ func main() {
 		log.Fatal("-where needs -store (predicates run against a persisted record store)")
 	}
 
-	p, err := whoisparse.Load(*model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	p.Instrument(reg)
-
-	// The shared parse-serving layer is the batch driver: blocking
+	// The shared serving stack is the batch driver: the model under a
+	// lifecycle manager stamps every record with its name, blocking
 	// admission gives backpressure against the bounded worker pool, and
 	// the cache/coalescing path deduplicates repeated record texts
 	// (registrars reuse templates, so real crawls repeat themselves).
-	ps := serve.New(p, serve.Options{Workers: *workers, CacheCapacity: 1 << 15, Metrics: reg})
-	defer ps.Close()
 	// With -tiered, registrars whose format the template tier knows are
 	// parsed by L0 at template speed; the CRF only runs on the tail. The
-	// tiered.* counters report the head/tail split in the final stats dump.
-	var router *tiered.Router
-	if *tieredMode {
-		trecs := synth.GenerateLabeled(synth.Config{N: 200, Seed: *seed + 7919})
-		router = tiered.NewFromRecords(trecs, core.DefaultConfig().Tokenize, tiered.Options{Metrics: reg})
-		ps.SetParseFunc(router.Bind(p.Parse))
-		log.Printf("tiered: %d registrar templates compiled (L0 fast path on)", router.Status().Templates)
+	// tiered.* counters report the head/tail split in the final stats
+	// dump.
+	st, err := stack.Open(stack.Config{
+		Model:   *model,
+		Seed:    *seed,
+		Tiered:  *tieredMode,
+		Serve:   serve.Options{Workers: *workers, CacheCapacity: 1 << 15},
+		Metrics: reg,
+		Log:     log.Default(),
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer st.Close()
+	ps := st.Serve
 	parseAll := func(texts []string) []*whoisparse.ParsedRecord {
 		out, err := ps.ParseBatch(context.Background(), texts)
 		if err != nil {
@@ -253,12 +252,6 @@ func main() {
 	}
 
 	log.Printf("surveying %d parsed records", s.Len())
-	log.Printf("parse serving: %s", ps.Stats())
-	if router != nil {
-		st := router.Status()
-		log.Printf("tiered: %d templates (%d demoted), l0 hits %d, demoted serves %d, l1 fallbacks %d",
-			st.Templates, len(st.Demoted), st.L0Hits, st.L0Demoted, st.L1Fallbacks)
-	}
 	renderSurvey(os.Stdout, s, showBlacklist)
 }
 

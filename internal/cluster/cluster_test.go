@@ -24,7 +24,9 @@ var (
 	artErr       error
 )
 
-func artifacts(t testing.TB) (a, b []byte) {
+// artifacts returns the two models as registry versions default/1.0.0
+// and default/1.1.0.
+func artifacts(t testing.TB) (a, b Artifact) {
 	t.Helper()
 	artOnce.Do(func() {
 		recs := synth.GenerateLabeled(synth.Config{N: 120, Seed: 23})
@@ -54,7 +56,8 @@ func artifacts(t testing.TB) (a, b []byte) {
 	if artErr != nil {
 		t.Fatal(artErr)
 	}
-	return artA, artB
+	return Artifact{Family: "default", SemVer: "1.0.0", Data: artA},
+		Artifact{Family: "default", SemVer: "1.1.0", Data: artB}
 }
 
 // parsers returns the trained parsers behind the two artifacts.

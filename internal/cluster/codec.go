@@ -28,10 +28,12 @@ import (
 //
 //	opParse      : domain string | text string
 //	opFetchModel : (empty)
-//	opApplyModel : artifact bytes
+//	opApplyModel : artifact
 //	opStatus     : (empty)
 //
-//	stOK         : op-specific body (record payload / artifact bytes /
+//	artifact     : family string | semver string | WMDL bytes
+//
+//	stOK         : op-specific body (record payload / artifact /
 //	               version string / status fields)
 //	stError      : message string
 //	stOverloaded : retry-after millis uvarint
@@ -194,6 +196,24 @@ func decodeParseReq(body []byte) (domain, text string, err error) {
 		return "", "", fmt.Errorf("%w: parse request", ErrBadMessage)
 	}
 	return domain, text, nil
+}
+
+// appendArtifact encodes a model artifact with its identity.
+func appendArtifact(buf []byte, a Artifact) []byte {
+	buf = appendString(buf, a.Family)
+	buf = appendString(buf, a.SemVer)
+	return appendBytes(buf, a.Data)
+}
+
+// decodeArtifact decodes a whole body written by appendArtifact. Data
+// aliases body.
+func decodeArtifact(body []byte) (Artifact, error) {
+	r := &wireReader{b: body}
+	a := Artifact{Family: r.str(), SemVer: r.str(), Data: r.bytes()}
+	if r.bad || r.pos != len(body) {
+		return Artifact{}, fmt.Errorf("%w: model artifact", ErrBadMessage)
+	}
+	return a, nil
 }
 
 // Response encoders/decoders.

@@ -112,7 +112,7 @@ func TestRecordRespRoundTrip(t *testing.T) {
 		DomainName:   "example.com",
 		Registrar:    "Example Registrar, Inc.",
 		CreatedDate:  "1999-07-01",
-		ModelVersion: "wmdl-deadbeef",
+		ModelVersion: "default/1.0.0+deadbeef",
 	}
 	resp := encodeRecordResp(nil, "example.com", rec)
 	body, err := decodeStatusByte(resp)
@@ -174,7 +174,7 @@ func TestStatusRespRoundTrip(t *testing.T) {
 	want := PeerStatus{
 		ID:           "node-a",
 		Addr:         "127.0.0.1:9999",
-		ModelVersion: "m3-0a0b0c0d",
+		ModelVersion: "default/1.2.0+0a0b0c0d",
 		Generation:   17,
 		Ready:        true,
 		Members:      []string{"node-a", "node-b", "node-c"},

@@ -54,15 +54,17 @@ func TestClusterE2EHotSwapDuringTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models; skipped in -short")
 	}
-	pa, _ := parsers(t)
-	_, artB := artifacts(t)
+	artA, artB := artifacts(t)
 
 	ids := []string{"node-a", "node-b", "node-c"}
 	var nodes []*Node
 	var oldVersion string
 	for _, id := range ids {
-		mgr := lifecycle.New(pa, lifecycle.Options{})
-		ps := serve.NewFunc(mgr.ParseFunc(), serve.Options{Workers: 4})
+		mgr, err := lifecycle.OpenBytes(artA.Data, "", lifecycle.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := serve.NewFunc(mgr.Parse, serve.Options{Workers: 4})
 		mgr.Attach(ps)
 		t.Cleanup(func() { ps.Close() })
 		n, err := NewNode(ps, mgr, Options{ID: id, Ring: RingOptions{LoadFactor: -1}})

@@ -177,14 +177,15 @@ type Node struct {
 	fmu      sync.Mutex
 	inflight map[remoteKey]*forwardCall
 
-	// artifact holds the serving WMDL bytes (for FetchModel); version
-	// is the stamp applied to locally-parsed records when no lifecycle
-	// manager is attached. provider, when set, overrides artifact as
-	// the FetchModel source — the registry-backed path, where the
+	// artifact holds the static FetchModel answer; version is the stamp
+	// applied to locally-parsed records when no lifecycle manager is
+	// attached. provider, when set, overrides artifact as the
+	// FetchModel source — the registry-backed path, where the
 	// authoritative bytes live on disk and move with the serving
-	// pointer rather than with an in-memory copy.
-	artifact atomic.Pointer[[]byte]
-	provider atomic.Pointer[func() ([]byte, error)]
+	// pointer rather than with an in-memory copy. With neither, a node
+	// with a manager serves the manager's current artifact.
+	artifact atomic.Pointer[Artifact]
+	provider atomic.Pointer[func() (Artifact, error)]
 	version  atomic.Pointer[string]
 
 	ready atomic.Bool
@@ -197,7 +198,8 @@ type forwardCall struct {
 }
 
 // NewNode builds a cluster node over a serving layer. mgr may be nil
-// (no lifecycle management; ApplyModel then rebinds ps directly). The
+// (no lifecycle management; ApplyModel then rebinds ps directly and
+// stamps records with the same name a manager would). The
 // node adds itself to the ring and is ready immediately — use
 // JoinFetchModel to gate readiness on fetching a model from a peer.
 func NewNode(ps *serve.Server, mgr *lifecycle.Manager, opts Options) (*Node, error) {
@@ -241,20 +243,19 @@ func (n *Node) ID() string { return n.id }
 // AddPeer/RemovePeer).
 func (n *Node) Ring() *Ring { return n.ring }
 
-// SetModelArtifact installs the WMDL bytes this node serves to joining
-// peers via FetchModel, without swapping anything locally — the boot
-// path for a node started from an on-disk model.
-func (n *Node) SetModelArtifact(data []byte) {
-	n.artifact.Store(&data)
+// SetModelArtifact installs the artifact this node serves to joining
+// peers via FetchModel, without swapping anything locally.
+func (n *Node) SetModelArtifact(a Artifact) {
+	n.artifact.Store(&a)
 }
 
 // SetModelProvider routes FetchModel through fn instead of the static
-// artifact bytes: each joining peer gets whatever fn returns at fetch
-// time. A registry-backed daemon passes a closure that reads the
-// family's current serving artifact, so peers always join on the model
-// the registry says is serving — even if this node has not re-resolved
+// artifact: each joining peer gets whatever fn returns at fetch time. A
+// registry-backed daemon passes a closure that reads the family's
+// current serving artifact, so peers always join on the model the
+// registry says is serving — even if this node has not re-resolved
 // since the last promote. A nil fn restores the static-artifact path.
-func (n *Node) SetModelProvider(fn func() ([]byte, error)) {
+func (n *Node) SetModelProvider(fn func() (Artifact, error)) {
 	if fn == nil {
 		n.provider.Store(nil)
 		return
@@ -471,66 +472,75 @@ func (n *Node) HandleParse(ctx context.Context, domain, text string) (*core.Pars
 	return rec, err
 }
 
-// ModelArtifact returns the serving WMDL bytes for a joining peer:
-// from the provider when one is set, else the static artifact.
-func (n *Node) ModelArtifact() ([]byte, error) {
+// ModelArtifact returns the serving artifact for a joining peer: from
+// the provider when one is set, else the static artifact, else the
+// attached manager's current model.
+func (n *Node) ModelArtifact() (Artifact, error) {
+	var a Artifact
 	if fn := n.provider.Load(); fn != nil {
-		data, err := (*fn)()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoModel, err)
+		var err error
+		if a, err = (*fn)(); err != nil {
+			return Artifact{}, fmt.Errorf("%w: %v", ErrNoModel, err)
 		}
-		if len(data) == 0 {
-			return nil, ErrNoModel
-		}
-		n.met.fetches.Inc()
-		return data, nil
+	} else if p := n.artifact.Load(); p != nil {
+		a = *p
+	} else if n.mgr != nil {
+		snap := n.mgr.Current()
+		a = Artifact{Family: snap.Family, SemVer: snap.SemVer, Data: snap.Artifact}
 	}
-	data := n.artifact.Load()
-	if data == nil || len(*data) == 0 {
-		return nil, ErrNoModel
+	if len(a.Data) == 0 {
+		return Artifact{}, ErrNoModel
 	}
 	n.met.fetches.Inc()
-	return *data, nil
+	return a, nil
 }
 
-// ApplyModel verifies artifact (magic, format version, CRC32C, feature
-// dimensions) and swaps it live: through the lifecycle manager when one
-// is attached (cache generation bumps atomically with the parse
-// function), directly onto the serve layer otherwise. The node's
+// ApplyModel verifies the artifact (magic, format version, length,
+// CRC32C; feature dimensions on decode) and swaps it live under the
+// sender's identity: through the lifecycle manager when one is
+// attached (cache generation bumps atomically with the parse
+// function), directly onto the serve layer otherwise. Either way the
+// records are stamped "<family>/<semver>+<crc32c>". The node's
 // remote-result cache is invalidated in the same step — its entries
 // were produced by peers that are swapping on their own stagger.
-// Verification failure leaves the old model serving.
-func (n *Node) ApplyModel(artifact []byte) (string, error) {
-	info, err := store.StatModelBytes(artifact)
-	if err != nil {
-		return "", err
-	}
+// Applying the version the node already serves changes nothing but
+// readiness; verification failure leaves the old model serving.
+func (n *Node) ApplyModel(a Artifact) (string, error) {
 	var version string
 	if n.mgr != nil {
-		snap, err := n.mgr.ReloadFromBytes(artifact)
+		snap, changed, err := n.mgr.Apply(a.Data, a.Family, a.SemVer)
 		if err != nil {
 			return "", err
 		}
-		version = snap.Version
+		if version = snap.Version; !changed {
+			n.ready.Store(true)
+			return version, nil
+		}
 	} else {
-		p, err := store.ReadModel(bytes.NewReader(artifact))
+		v, err := lifecycle.Identify(a.Data, a.Family, a.SemVer)
 		if err != nil {
 			return "", err
 		}
-		version = fmt.Sprintf("wmdl-%08x", info.CRC32C)
-		v := version
+		if version = v; version == *n.version.Load() {
+			n.ready.Store(true)
+			return version, nil
+		}
+		p, err := store.ReadModel(bytes.NewReader(a.Data))
+		if err != nil {
+			return "", err
+		}
 		n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
 			rec := p.Parse(text)
 			rec.ModelVersion = v
 			return rec
 		})
+		n.version.Store(&version)
+		n.artifact.Store(&a)
 	}
-	n.version.Store(&version)
-	n.artifact.Store(&artifact)
 	n.remoteGen.Add(1) // orphan remote-result entries from the old fleet state
 	n.met.applies.Inc()
 	n.ready.Store(true)
-	n.log.Info("model applied", "version", version, "artifact", info.String())
+	n.log.Info("model applied", "version", version, "bytes", len(a.Data))
 	return version, nil
 }
 
@@ -560,15 +570,15 @@ func (n *Node) modelVersion() string {
 // Until it succeeds the node answers peers with ErrNotReady.
 func (n *Node) JoinFetchModel(ctx context.Context, from ShardClient) (string, error) {
 	n.ready.Store(false)
-	data, err := from.FetchModel(ctx)
+	a, err := from.FetchModel(ctx)
 	if err != nil {
 		return "", fmt.Errorf("cluster: join fetch: %w", err)
 	}
-	version, err := n.ApplyModel(data) // verifies CRC before swapping; sets ready
+	version, err := n.ApplyModel(a) // verifies CRC before swapping; sets ready
 	if err != nil {
 		return "", fmt.Errorf("cluster: join verify: %w", err)
 	}
-	n.log.Info("joined with fetched model", "version", version, "bytes", len(data))
+	n.log.Info("joined with fetched model", "version", version, "bytes", len(a.Data))
 	return version, nil
 }
 
@@ -583,16 +593,17 @@ type RolloutReport struct {
 }
 
 // Rollout coordinates a cluster-wide hot swap: the artifact is
-// validated locally first, then applied member by member in ring order
+// verified locally first, then applied member by member in ring order
 // with a jittered stagger between members. Each member's ApplyModel
 // bumps that member's cache generation at its own staggered instant, so
 // the fleet never invalidates all caches at once — the thundering-herd
-// control. Members that fail keep their old model (and report in
-// Failed); traffic continues throughout, every response attributable to
-// exactly one model version.
-func (n *Node) Rollout(ctx context.Context, artifact []byte, stagger time.Duration) (RolloutReport, error) {
+// control. A member (this node included) already serving the artifact
+// under the same identity is left untouched. Members that fail keep
+// their old model (and report in Failed); traffic continues throughout,
+// every response attributable to exactly one model version.
+func (n *Node) Rollout(ctx context.Context, a Artifact, stagger time.Duration) (RolloutReport, error) {
 	rep := RolloutReport{Failed: map[string]string{}}
-	if _, err := store.StatModelBytes(artifact); err != nil {
+	if _, err := lifecycle.Identify(a.Data, a.Family, a.SemVer); err != nil {
 		return rep, fmt.Errorf("cluster: rollout: %w", err)
 	}
 	n.met.rollouts.Inc()
@@ -609,10 +620,10 @@ func (n *Node) Rollout(ctx context.Context, artifact []byte, stagger time.Durati
 		var version string
 		var err error
 		if id == n.id {
-			version, err = n.ApplyModel(artifact)
+			version, err = n.ApplyModel(a)
 		} else if p := n.peer(id); p != nil {
 			actx, cancel := context.WithTimeout(ctx, n.opts.ApplyTimeout)
-			version, err = p.client.ApplyModel(actx, artifact)
+			version, err = p.client.ApplyModel(actx, a)
 			cancel()
 		} else {
 			err = fmt.Errorf("no client for member")

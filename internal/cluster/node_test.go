@@ -4,15 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/modelreg"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 // errClient is a ShardClient that fails every call the same way.
@@ -21,10 +22,10 @@ type errClient struct{ err error }
 func (c errClient) Parse(context.Context, string, string) (*core.ParsedRecord, error) {
 	return nil, c.err
 }
-func (c errClient) FetchModel(context.Context) ([]byte, error)         { return nil, c.err }
-func (c errClient) ApplyModel(context.Context, []byte) (string, error) { return "", c.err }
-func (c errClient) Status(context.Context) (PeerStatus, error)         { return PeerStatus{}, c.err }
-func (c errClient) Close() error                                       { return nil }
+func (c errClient) FetchModel(context.Context) (Artifact, error)         { return Artifact{}, c.err }
+func (c errClient) ApplyModel(context.Context, Artifact) (string, error) { return "", c.err }
+func (c errClient) Status(context.Context) (PeerStatus, error)           { return PeerStatus{}, c.err }
+func (c errClient) Close() error                                         { return nil }
 
 func TestNodeRequiresID(t *testing.T) {
 	ps := serve.NewFunc(echoParse("x"), serve.Options{Workers: 1})
@@ -271,8 +272,14 @@ func TestNodeJoinFetchModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(version, "wmdl-") {
-		t.Fatalf("version = %q, want a wmdl-<crc> stamp", version)
+	// The joiner names the model exactly as its sender does:
+	// <family>/<semver>+<crc32c of the verified bytes>.
+	info, err := store.VerifyModelBytes(artA.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := modelreg.FormatVersionString("default", "1.0.0", info.CRC32C); version != want {
+		t.Fatalf("version = %q, want %q", version, want)
 	}
 	st := b.Status()
 	if !st.Ready || st.ModelVersion != version {
@@ -286,9 +293,15 @@ func TestNodeJoinFetchModel(t *testing.T) {
 	if rec.ModelVersion != version {
 		t.Fatalf("parse stamped %q, want %q", rec.ModelVersion, version)
 	}
-	// The joined node can itself seed the next joiner.
-	if _, err := b.ModelArtifact(); err != nil {
-		t.Fatalf("joined node has no artifact to serve: %v", err)
+	// The joined node can itself seed the next joiner, under the same
+	// identity.
+	if got, err := b.ModelArtifact(); err != nil || got.SemVer != "1.0.0" || got.Family != "default" {
+		t.Fatalf("joined node serves %q/%q, %v", got.Family, got.SemVer, err)
+	}
+	// Re-applying the serving model changes nothing.
+	gen := b.Status().Generation
+	if again, err := b.ApplyModel(artA); err != nil || again != version || b.Status().Generation != gen {
+		t.Fatalf("re-apply: %q %v, generation %d -> %d", again, err, gen, b.Status().Generation)
 	}
 }
 
@@ -301,23 +314,23 @@ func TestNodeModelProvider(t *testing.T) {
 	// fetch time — a registry promote between fetches changes what the
 	// next joiner receives without touching the node.
 	current := &artB
-	a.SetModelProvider(func() ([]byte, error) { return *current, nil })
+	a.SetModelProvider(func() (Artifact, error) { return *current, nil })
 
 	got, err := a.ModelArtifact()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(artB) {
-		t.Fatal("provider bytes not served")
+	if string(got.Data) != string(artB.Data) || got.SemVer != artB.SemVer {
+		t.Fatal("provider artifact not served")
 	}
 	current = &artA
-	if got, _ := a.ModelArtifact(); string(got) != string(artA) {
+	if got, _ := a.ModelArtifact(); string(got.Data) != string(artA.Data) {
 		t.Fatal("provider not consulted per fetch")
 	}
 
 	// A failing provider maps to ErrNoModel: joiners stay gated rather
 	// than receiving an empty or stale model.
-	a.SetModelProvider(func() ([]byte, error) { return nil, errors.New("registry unreadable") })
+	a.SetModelProvider(func() (Artifact, error) { return Artifact{}, errors.New("registry unreadable") })
 	if _, err := a.ModelArtifact(); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("err = %v, want ErrNoModel", err)
 	}
@@ -325,10 +338,10 @@ func TestNodeModelProvider(t *testing.T) {
 	// Clearing the provider restores the static path, and a joiner can
 	// fetch through the provider end to end.
 	a.SetModelProvider(nil)
-	if got, _ := a.ModelArtifact(); string(got) != string(artA) {
+	if got, _ := a.ModelArtifact(); string(got.Data) != string(artA.Data) {
 		t.Fatal("static artifact not restored")
 	}
-	a.SetModelProvider(func() ([]byte, error) { return artB, nil })
+	a.SetModelProvider(func() (Artifact, error) { return artB, nil })
 	b := testNode(t, "node-b", echoParse("node-b"), Options{})
 	if _, err := b.JoinFetchModel(context.Background(), &InprocClient{B: a}); err != nil {
 		t.Fatal(err)
@@ -361,14 +374,14 @@ func TestNodeApplyModelRejectsCorruptArtifact(t *testing.T) {
 	n := testNode(t, "solo", echoParse("solo"), Options{})
 	genBefore := n.Status().Generation
 
-	if _, err := n.ApplyModel([]byte("not a model")); err == nil {
+	if _, err := n.ApplyModel(Artifact{Data: []byte("not a model")}); err == nil {
 		t.Fatal("garbage artifact accepted")
 	}
-	// Valid header, corrupt payload: StatModelBytes passes, the full
-	// CRC verification in ReadModel must still refuse the swap.
-	corrupt := append([]byte(nil), artA...)
+	// Valid header, corrupt payload: the header parses, the full CRC
+	// verification must still refuse the swap.
+	corrupt := append([]byte(nil), artA.Data...)
 	corrupt[len(corrupt)-1] ^= 0xFF
-	if _, err := n.ApplyModel(corrupt); err == nil {
+	if _, err := n.ApplyModel(Artifact{Family: artA.Family, SemVer: artA.SemVer, Data: corrupt}); err == nil {
 		t.Fatal("corrupt artifact accepted")
 	}
 	st := n.Status()

@@ -13,8 +13,9 @@ import (
 // routing, model distribution, coordinated swaps, and health:
 //
 //	Parse       ask the owning shard for a domain's parsed record
-//	FetchModel  pull the serving WMDL artifact (join path)
-//	ApplyModel  push a WMDL artifact and swap it live (rollout path)
+//	FetchModel  pull the serving WMDL artifact and its identity (join path)
+//	ApplyModel  push a WMDL artifact and its identity and swap it live
+//	            (rollout path)
 //	Status      node identity, model version, generation, membership
 //
 // ShardClient is the caller's view, Backend the receiver's; both are
@@ -32,8 +33,7 @@ var (
 	// ErrPeerDown reports that the peer is inside its failure-backoff
 	// window and was not contacted at all.
 	ErrPeerDown = errors.New("cluster: peer down (backing off)")
-	// ErrNoModel reports that the node has no WMDL artifact to serve —
-	// it was started from an in-memory model that never hit disk.
+	// ErrNoModel reports that the node has no WMDL artifact to serve.
 	ErrNoModel = errors.New("cluster: no model artifact available")
 	// ErrNotReady reports that the node has not finished joining (its
 	// model fetch has not been verified yet).
@@ -56,6 +56,17 @@ func (e *OverloadedError) Error() string {
 
 // Is makes errors.Is(err, ErrPeerOverloaded) true for OverloadedError.
 func (e *OverloadedError) Is(target error) bool { return target == ErrPeerOverloaded }
+
+// Artifact is a WMDL model in transit together with the registry
+// identity its sender serves it under. The receiver verifies Data and
+// stamps its records "<Family>/<SemVer>+<crc32c>" (lifecycle.Identify),
+// with the CRC taken from the verified bytes — so every node serving
+// the artifact names it the same way as the node it came from.
+type Artifact struct {
+	Family string
+	SemVer string
+	Data   []byte
+}
 
 // PeerStatus is one node's self-description, returned by the Status
 // operation and aggregated by /admin/cluster.
@@ -86,14 +97,15 @@ type ShardClient interface {
 	// own cache/coalescing stack). Overload surfaces as
 	// ErrPeerOverloaded (an *OverloadedError with a Retry-After hint).
 	Parse(ctx context.Context, domain, text string) (*core.ParsedRecord, error)
-	// FetchModel returns the peer's serving WMDL artifact bytes. The
-	// caller must verify them (store.ReadModel checks the CRC32C)
-	// before serving — the join path depends on it.
-	FetchModel(ctx context.Context) ([]byte, error)
+	// FetchModel returns the peer's serving WMDL artifact and its
+	// identity. The caller must verify the bytes before serving — the
+	// join path depends on it.
+	FetchModel(ctx context.Context) (Artifact, error)
 	// ApplyModel pushes a WMDL artifact to the peer, which verifies
 	// and hot-swaps it, returning the new model version. The rollout
-	// path: each ApplyModel bumps that peer's cache generation.
-	ApplyModel(ctx context.Context, artifact []byte) (string, error)
+	// path: each ApplyModel that changes the peer's model bumps its
+	// cache generation.
+	ApplyModel(ctx context.Context, a Artifact) (string, error)
 	// Status returns the peer's self-description.
 	Status(ctx context.Context) (PeerStatus, error)
 	// Close releases transport resources.
@@ -105,11 +117,11 @@ type ShardClient interface {
 type Backend interface {
 	// HandleParse serves a parse on behalf of a peer.
 	HandleParse(ctx context.Context, domain, text string) (*core.ParsedRecord, error)
-	// ModelArtifact returns the serving WMDL bytes, or ErrNoModel.
-	ModelArtifact() ([]byte, error)
-	// ApplyModel verifies artifact and swaps it live, returning the
+	// ModelArtifact returns the serving WMDL artifact, or ErrNoModel.
+	ModelArtifact() (Artifact, error)
+	// ApplyModel verifies the artifact and swaps it live, returning the
 	// new model version.
-	ApplyModel(artifact []byte) (string, error)
+	ApplyModel(a Artifact) (string, error)
 	// Status returns the node's self-description.
 	Status() PeerStatus
 }
@@ -132,19 +144,19 @@ func (c *InprocClient) Parse(ctx context.Context, domain, text string) (*core.Pa
 }
 
 // FetchModel implements ShardClient.
-func (c *InprocClient) FetchModel(ctx context.Context) ([]byte, error) {
+func (c *InprocClient) FetchModel(ctx context.Context) (Artifact, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Artifact{}, err
 	}
 	return c.B.ModelArtifact()
 }
 
 // ApplyModel implements ShardClient.
-func (c *InprocClient) ApplyModel(ctx context.Context, artifact []byte) (string, error) {
+func (c *InprocClient) ApplyModel(ctx context.Context, a Artifact) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	return c.B.ApplyModel(artifact)
+	return c.B.ApplyModel(a)
 }
 
 // Status implements ShardClient.

@@ -129,21 +129,21 @@ func (s *TCPServer) dispatch(buf, req []byte) []byte {
 		}
 		return encodeRecordResp(buf, domain, rec)
 	case opFetchModel:
-		data, err := s.b.ModelArtifact()
+		a, err := s.b.ModelArtifact()
 		if err != nil {
 			return encodeErrorResp(buf, err)
 		}
-		return appendBytes(append(buf[:0], stOK), data)
+		return appendArtifact(append(buf[:0], stOK), a)
 	case opApplyModel:
-		r := &wireReader{b: body}
-		artifact := r.bytes()
-		if r.bad || r.pos != len(body) {
-			return encodeErrorResp(buf, fmt.Errorf("%w: apply request", ErrBadMessage))
+		a, err := decodeArtifact(body)
+		if err != nil {
+			return encodeErrorResp(buf, err)
 		}
-		// The artifact slice aliases the connection's read buffer,
-		// which the next request will overwrite — the backend keeps it,
-		// so copy.
-		version, err := s.b.ApplyModel(append([]byte(nil), artifact...))
+		// The artifact bytes alias the connection's read buffer, which
+		// the next request will overwrite — the backend keeps them, so
+		// copy.
+		a.Data = append([]byte(nil), a.Data...)
+		version, err := s.b.ApplyModel(a)
 		if err != nil {
 			return encodeErrorResp(buf, err)
 		}
@@ -279,27 +279,21 @@ func (c *TCPClient) Parse(ctx context.Context, domain, text string) (*core.Parse
 }
 
 // FetchModel implements ShardClient.
-func (c *TCPClient) FetchModel(ctx context.Context) ([]byte, error) {
+func (c *TCPClient) FetchModel(ctx context.Context) (Artifact, error) {
 	resp, err := c.call(ctx, []byte{opFetchModel})
 	if err != nil {
-		return nil, err
+		return Artifact{}, err
 	}
 	body, err := decodeStatusByte(resp)
 	if err != nil {
-		return nil, err
+		return Artifact{}, err
 	}
-	r := &wireReader{b: body}
-	data := r.bytes()
-	if r.bad || r.pos != len(body) {
-		return nil, fmt.Errorf("%w: fetch response", ErrBadMessage)
-	}
-	return append([]byte(nil), data...), nil
+	return decodeArtifact(body) // resp is already the caller's copy
 }
 
 // ApplyModel implements ShardClient.
-func (c *TCPClient) ApplyModel(ctx context.Context, artifact []byte) (string, error) {
-	req := appendBytes([]byte{opApplyModel}, artifact)
-	resp, err := c.call(ctx, req)
+func (c *TCPClient) ApplyModel(ctx context.Context, a Artifact) (string, error) {
+	resp, err := c.call(ctx, appendArtifact([]byte{opApplyModel}, a))
 	if err != nil {
 		return "", err
 	}

@@ -17,8 +17,8 @@ import (
 type fakeBackend struct {
 	mu       sync.Mutex
 	parseErr error
-	applied  [][]byte
-	artifact []byte
+	applied  []Artifact
+	artifact *Artifact
 	parses   int
 }
 
@@ -32,19 +32,19 @@ func (f *fakeBackend) HandleParse(ctx context.Context, domain, text string) (*co
 	return &core.ParsedRecord{DomainName: domain, Registrar: "fake", ModelVersion: "v-fake"}, nil
 }
 
-func (f *fakeBackend) ModelArtifact() ([]byte, error) {
+func (f *fakeBackend) ModelArtifact() (Artifact, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.artifact == nil {
-		return nil, ErrNoModel
+		return Artifact{}, ErrNoModel
 	}
-	return f.artifact, nil
+	return *f.artifact, nil
 }
 
-func (f *fakeBackend) ApplyModel(artifact []byte) (string, error) {
+func (f *fakeBackend) ApplyModel(a Artifact) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.applied = append(f.applied, artifact)
+	f.applied = append(f.applied, a)
 	return "v-applied", nil
 }
 
@@ -112,7 +112,7 @@ func TestTCPErrorMapping(t *testing.T) {
 
 func TestTCPFetchAndApplyModel(t *testing.T) {
 	artifact := bytes.Repeat([]byte{0xAB, 0xCD}, 4096)
-	fb := &fakeBackend{artifact: artifact}
+	fb := &fakeBackend{artifact: &Artifact{Family: "tld-com", SemVer: "2.3.0", Data: artifact}}
 	_, cli := startTCP(t, fb)
 	ctx := context.Background()
 
@@ -120,11 +120,11 @@ func TestTCPFetchAndApplyModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, artifact) {
+	if !bytes.Equal(got.Data, artifact) || got.Family != "tld-com" || got.SemVer != "2.3.0" {
 		t.Fatal("fetched artifact differs from served artifact")
 	}
 
-	version, err := cli.ApplyModel(ctx, artifact)
+	version, err := cli.ApplyModel(ctx, Artifact{Family: "tld-com", SemVer: "2.4.0", Data: artifact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +133,14 @@ func TestTCPFetchAndApplyModel(t *testing.T) {
 	}
 	fb.mu.Lock()
 	defer fb.mu.Unlock()
-	if len(fb.applied) != 1 || !bytes.Equal(fb.applied[0], artifact) {
+	if len(fb.applied) != 1 || !bytes.Equal(fb.applied[0].Data, artifact) ||
+		fb.applied[0].Family != "tld-com" || fb.applied[0].SemVer != "2.4.0" {
 		t.Fatal("applied artifact differs")
 	}
 	// The server must have copied the artifact out of its read buffer:
 	// mutate the slice the client sent and recheck the stored one.
 	artifact[0] ^= 0xFF
-	if fb.applied[0][0] == artifact[0] {
+	if fb.applied[0].Data[0] == artifact[0] {
 		t.Fatal("server aliases the connection read buffer")
 	}
 }

@@ -319,8 +319,9 @@ type ParsedRecord struct {
 	NameServers []string
 	Statuses    []string
 
-	// ModelVersion identifies the model that produced this record, when a
-	// lifecycle layer stamps it (internal/lifecycle; "" otherwise). WHOIS
+	// ModelVersion identifies the model that produced this record as
+	// "<family>/<semver>+<crc32c>", when a lifecycle manager stamps it
+	// (internal/lifecycle; "" otherwise). WHOIS
 	// formats drift and models are retrained while serving (§5.1), so a
 	// parse is only interpretable alongside the model version that made
 	// it — drift analysis segments on this field.

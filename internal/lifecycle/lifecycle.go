@@ -1,8 +1,7 @@
 // Package lifecycle is the online model-lifecycle control plane: it owns
 // which trained model is live, swaps models with zero downtime, watches
-// live traffic for drift, queues the records a human should label next
-// (§5.3 active learning), and retrains + shadow-evaluates candidates so a
-// worse model is never promoted.
+// live traffic for drift, and retrains + shadow-evaluates candidates so
+// a worse model is never promoted.
 //
 // The paper's system is not a one-shot parser: WHOIS templates drift as
 // registrars change formats (§5.1), so the deployed model is retrained
@@ -26,12 +25,25 @@
 // stamped with the snapshot's version string, which makes "which model
 // produced this answer" a property of the response, not of wall-clock
 // correlation.
+//
+// A model has one source and one name. Open takes either a model
+// registry directory (internal/modelreg; the family's serving pointer
+// names the model) or a bare WMDL file, which opens as an implicit
+// one-version registry at ImplicitVersion. OpenBytes does the same for
+// an artifact that never touched disk (a model trained at startup).
+// Whatever the source, every record is stamped
+// modelreg.FormatVersionString(family, semver, crc32c), with the CRC
+// taken from the verified artifact bytes, so a crawler, a daemon and a
+// cluster peer serving the same artifact under the same identity agree
+// on its name without coordination.
 package lifecycle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,6 +91,14 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
+// ImplicitVersion is the semver a bare WMDL file (or an in-memory
+// artifact) is served under: it opens as a one-version registry.
+const ImplicitVersion = "0.0.0"
+
+// ErrNoRegistry reports a registry-only operation (Retrain) on a
+// Manager whose model did not come from a model registry.
+var ErrNoRegistry = errors.New("lifecycle: manager has no model registry")
+
 // Snapshot is one immutable generation of the serving model. Swaps
 // replace the whole snapshot atomically; nothing in it is ever mutated
 // after publication.
@@ -86,30 +106,28 @@ type Snapshot struct {
 	// Parser is the trained model.
 	Parser *core.Parser
 	// Seq is the in-process generation number, starting at 1 for the
-	// model the Manager was built with and incrementing per swap.
+	// model the Manager was opened with and incrementing per swap.
 	Seq uint64
-	// Info is the WMDL artifact identity when the model came from (or
-	// was promoted to) disk; zero for purely in-memory models.
+	// Info is the identity of the verified WMDL artifact.
 	Info store.ModelInfo
-	// Path is the artifact path the model was loaded from, if any.
+	// Artifact is the verified WMDL bytes the parser was decoded from —
+	// what a cluster node hands a joining peer.
+	Artifact []byte
+	// Path is the file the artifact was read from ("" when it came from
+	// memory or off the wire).
 	Path string
-	// Family and SemVer identify the model in the registry when it was
-	// resolved from one (NewFromRegistry, ReloadServing, or a
-	// registry-backed Retrain); both empty otherwise.
+	// Family and SemVer are the registry identity the model is served
+	// under; a bare file or in-memory artifact serves at ImplicitVersion.
 	Family string
 	SemVer string
 	// Version is the string stamped into every ParsedRecord this
-	// snapshot produces. Registry-resolved models stamp the canonical
-	// "<family>/<semver>+<crc32c>" — deterministic across processes, so
-	// a crawler and a daemon resolving the same registry version agree.
-	// Models without registry identity stamp "m<seq>" or
-	// "m<seq>-<crc32c>" (per-process generation numbers).
+	// snapshot produces: "<family>/<semver>+<crc32c>".
 	Version string
 }
 
 // Options configures a Manager. The zero value is usable: drift
-// sentinel on with default thresholds, no queue persistence, no
-// retraining (Retrain errors without Holdout).
+// sentinel on with default thresholds, no retraining (Retrain errors
+// without Holdout or a registry).
 type Options struct {
 	// Metrics receives lifecycle.* metrics; nil means a private
 	// registry (reachable via Manager.Metrics). Swapped-in models are
@@ -139,21 +157,6 @@ type Options struct {
 	// of Null/Other lines exceeds it — the "model stopped recognizing
 	// the template" signal (§5.1). <= 0 means 0.9.
 	NullOtherCeiling float64
-	// OnDrift, when non-nil, is invoked (on the parsing goroutine, keep
-	// it cheap) each time a registrar newly trips the sentinel.
-	OnDrift func(registrar string)
-
-	// Queue, when non-nil, is the store that FlushQueue persists
-	// low-confidence records into for labeling, ranked most uncertain
-	// first (§5.3).
-	Queue *store.Store
-	// QueueThreshold admits a record to the labeling queue when its
-	// minimum posterior confidence is below it; <= 0 means
-	// ConfidenceFloor.
-	QueueThreshold float64
-	// QueueCap bounds the in-memory queue; when full, the least
-	// uncertain entry is evicted first. <= 0 means 256.
-	QueueCap int
 
 	// Tiered, when non-nil, is the L0 template router the manager serves
 	// through: every parse function handed to attached servers is bound
@@ -172,22 +175,6 @@ type Options struct {
 	// Retrain refuses to run without it, because promotion without an
 	// independent yardstick is how a worse model goes live.
 	Holdout []*labels.LabeledRecord
-	// PromotePath, when non-empty, receives the promoted candidate as a
-	// WMDL artifact (atomic write) before the in-process swap, so a
-	// restart comes back up on the promoted model. Ignored when Registry
-	// is set — the registry owns promoted artifacts then.
-	PromotePath string
-
-	// Registry, when non-nil, routes Retrain through the model registry
-	// instead of overwriting PromotePath: every candidate is published
-	// as an immutable version with provenance, walked candidate → shadow
-	// through the state machine, and — only if the shadow gate passes —
-	// promoted to serving and swapped in-process. Rejected candidates
-	// stay parked at shadow with their scores on record.
-	Registry *modelreg.Registry
-	// Family is the registry family this manager serves;
-	// empty means modelreg.DefaultFamily.
-	Family string
 	// CorpusPath, when set, is recorded in published manifests as the
 	// training-data source (Provenance.CorpusPath).
 	CorpusPath string
@@ -218,12 +205,6 @@ func (o Options) withDefaults() Options {
 	if o.NullOtherCeiling <= 0 {
 		o.NullOtherCeiling = 0.9
 	}
-	if o.QueueThreshold <= 0 {
-		o.QueueThreshold = o.ConfidenceFloor
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 256
-	}
 	if o.Train.L2 == 0 && o.Train.MinCount == 0 {
 		o.Train = core.DefaultConfig()
 	}
@@ -244,9 +225,6 @@ type metrics struct {
 	driftFlagged *obs.Gauge
 	confidence   *obs.Histogram
 	nullRate     *obs.Histogram
-
-	queuePersisted *obs.Counter
-	queueDropped   *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry) metrics {
@@ -264,9 +242,6 @@ func newMetrics(reg *obs.Registry) metrics {
 		driftFlagged: reg.Gauge("lifecycle.drift.flagged"),
 		confidence:   reg.Histogram("lifecycle.drift.confidence", obs.UnitBounds()),
 		nullRate:     reg.Histogram("lifecycle.drift.nullrate", obs.UnitBounds()),
-
-		queuePersisted: reg.Counter("lifecycle.queue.persisted"),
-		queueDropped:   reg.Counter("lifecycle.queue.dropped"),
 	}
 }
 
@@ -277,74 +252,123 @@ type Manager struct {
 	log  *obs.Logger
 	met  metrics
 
+	// The model source Reload re-reads: the registry (and the family
+	// whose serving pointer it follows) when Open was given a registry
+	// directory, else the bare file at path; neither for OpenBytes.
+	reg    *modelreg.Registry
+	path   string
+	family string
+
 	cur   atomic.Pointer[Snapshot]
 	seq   atomic.Uint64
 	state atomic.Int32
 
 	// mu serializes swaps and the attached-server set, so every server
 	// converges on the latest snapshot even under concurrent swaps.
-	mu           sync.Mutex
-	attached     []*serve.Server
-	instrument   bool
-	instrumented map[*core.Parser]bool
+	mu         sync.Mutex
+	attached   []*serve.Server
+	instrument bool
 
 	// retrainMu serializes train → shadow → promote, one candidate at
 	// a time.
 	retrainMu sync.Mutex
 
 	sentinel *sentinel
-	queue    *alqueue
 }
 
-// regIdentity is a snapshot's registry coordinates; the zero value
-// means "not from a registry".
-type regIdentity struct {
-	Family string
-	SemVer string
-}
-
-// New builds a Manager serving p (an in-memory model; use NewFromFile
-// when the model has an artifact identity).
-func New(p *core.Parser, opts Options) *Manager {
-	return newManager(p, store.ModelInfo{}, "", regIdentity{}, opts)
-}
-
-// NewFromFile loads the WMDL artifact at path and builds a Manager
-// serving it, with the artifact identity (version, CRC) in the snapshot.
-func NewFromFile(path string, opts Options) (*Manager, error) {
-	info, err := store.StatModel(path)
+// verifyArtifact checks data end to end (magic, format version, length,
+// payload CRC32C) and returns the identity it is served under: a
+// snapshot still without its parser and sequence number. The CRC in the
+// name comes from these verified bytes, never from a caller's claim.
+func verifyArtifact(data []byte, family, semver, path string) (Snapshot, error) {
+	if family == "" {
+		family = modelreg.DefaultFamily
+	}
+	if semver == "" {
+		semver = ImplicitVersion
+	}
+	info, err := store.VerifyModelBytes(data)
 	if err != nil {
+		return Snapshot{}, err
+	}
+	return Snapshot{Info: info, Artifact: data, Path: path, Family: family, SemVer: semver,
+		Version: modelreg.FormatVersionString(family, semver, info.CRC32C)}, nil
+}
+
+// Identify verifies a WMDL artifact end to end and returns the name it
+// is served under as family/semver: "<family>/<semver>+<crc32c>", with
+// empty family and semver meaning modelreg.DefaultFamily and
+// ImplicitVersion. A cluster node without a Manager stamps what it
+// applies with this same name.
+func Identify(data []byte, family, semver string) (string, error) {
+	a, err := verifyArtifact(data, family, semver, "")
+	return a.Version, err
+}
+
+// Open builds a Manager over the model source at path: a model registry
+// directory, whose serving pointer for family names the model, or a
+// bare WMDL file, served as the implicit one-version registry
+// <family>/ImplicitVersion. Either way the artifact is fully verified
+// before it is decoded, and Reload re-reads the same source. An empty
+// family means modelreg.DefaultFamily.
+func Open(path, family string, opts Options) (*Manager, error) {
+	m := newManager(family, opts)
+	m.path = path
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, fmt.Errorf("lifecycle: open model: %w", err)
+	}
+	if fi.IsDir() {
+		if m.reg, err = modelreg.Open(path, modelreg.Options{Metrics: m.opts.Metrics, Log: m.opts.Log}); err != nil {
+			return nil, err
+		}
+	}
+	if _, _, err := m.Reload(); err != nil {
 		return nil, err
 	}
-	p, err := store.LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	return newManager(p, info, path, regIdentity{}, opts), nil
+	return m, nil
 }
 
-func newManager(p *core.Parser, info store.ModelInfo, path string, rid regIdentity, opts Options) *Manager {
+// OpenBytes builds a Manager over an in-memory WMDL artifact — the
+// daemon that trains its model at startup encodes it once
+// (store.EncodeModel) and opens it here, so it is verified and named
+// exactly like a bare file: <family>/ImplicitVersion+<crc32c>. Such a
+// manager has no source to Reload from.
+func OpenBytes(data []byte, family string, opts Options) (*Manager, error) {
+	m := newManager(family, opts)
+	if _, _, err := m.install(data, m.family, ImplicitVersion, ""); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func newManager(family string, opts Options) *Manager {
+	if family == "" {
+		family = modelreg.DefaultFamily
+	}
 	instrument := opts.Metrics != nil
 	opts = opts.withDefaults()
 	m := &Manager{
-		opts:         opts,
-		log:          opts.Log,
-		met:          newMetrics(opts.Metrics),
-		instrument:   instrument,
-		instrumented: map[*core.Parser]bool{},
+		opts:       opts,
+		log:        opts.Log,
+		met:        newMetrics(opts.Metrics),
+		family:     family,
+		instrument: instrument,
 	}
 	m.sentinel = newSentinel(opts)
-	m.queue = newALQueue(opts.QueueThreshold, opts.QueueCap)
-	opts.Metrics.GaugeFunc("lifecycle.queue.pending", func() float64 {
-		return float64(m.queue.len())
-	})
 	m.setState(StateServing)
-	m.publish(p, info, path, rid)
 	return m
 }
 
 // Metrics returns the registry lifecycle metrics land in.
 func (m *Manager) Metrics() *obs.Registry { return m.opts.Metrics }
+
+// Registry returns the model registry the manager serves from, or nil
+// when the model came from a bare file or from memory.
+func (m *Manager) Registry() *modelreg.Registry { return m.reg }
+
+// Family returns the model family the manager serves.
+func (m *Manager) Family() string { return m.family }
 
 // Current returns the live snapshot.
 func (m *Manager) Current() *Snapshot { return m.cur.Load() }
@@ -369,13 +393,6 @@ func (m *Manager) Attach(ps *serve.Server) {
 	ps.SetParseFunc(m.parseFuncFor(m.cur.Load()))
 }
 
-// ParseFunc returns the current snapshot's parse function — what an
-// attached server runs on a cache miss. Useful for frontends that do not
-// sit behind serve (batch drivers).
-func (m *Manager) ParseFunc() serve.ParseFunc {
-	return m.parseFuncFor(m.cur.Load())
-}
-
 // Parse runs the current model over text with lifecycle stamping and
 // drift observation, bypassing any serving cache.
 func (m *Manager) Parse(text string) *core.ParsedRecord {
@@ -384,9 +401,9 @@ func (m *Manager) Parse(text string) *core.ParsedRecord {
 
 // parseFuncFor binds a snapshot into the ParseFunc handed to serve: it
 // stamps every record with the snapshot version and feeds the drift
-// sentinel and active-learning queue. The closure captures the snapshot,
-// not the manager's current pointer, so a request admitted under cache
-// generation G always parses with the model that generation belongs to.
+// sentinel. The closure captures the snapshot, not the manager's
+// current pointer, so a request admitted under cache generation G
+// always parses with the model that generation belongs to.
 func (m *Manager) parseFuncFor(snap *Snapshot) serve.ParseFunc {
 	base := func(text string) *core.ParsedRecord {
 		var rec *core.ParsedRecord
@@ -394,7 +411,7 @@ func (m *Manager) parseFuncFor(snap *Snapshot) serve.ParseFunc {
 			var conf float64
 			rec, conf = snap.Parser.ParseWithConfidence(text)
 			rec.ModelVersion = snap.Version
-			m.observe(snap, rec, text, conf)
+			m.observe(snap, rec, conf)
 		} else {
 			rec = snap.Parser.Parse(text)
 			rec.ModelVersion = snap.Version
@@ -404,16 +421,15 @@ func (m *Manager) parseFuncFor(snap *Snapshot) serve.ParseFunc {
 	if m.opts.Tiered == nil {
 		return base
 	}
-	// Route through L0. Only L1-served records reach the sentinel and
-	// queue above — which is the point: records that fall through L0
-	// (no template, mismatch, low match confidence, demoted) are exactly
-	// the ones worth scoring, and their low L1 confidence feeds the
-	// active-learning queue as before.
+	// Route through L0. Only L1-served records reach the sentinel above
+	// — which is the point: records that fall through L0 (no template,
+	// mismatch, low match confidence, demoted) are exactly the ones
+	// worth scoring.
 	return m.opts.Tiered.Bind(base)
 }
 
-// observe feeds one scored parse into the sentinel and queue.
-func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, text string, conf float64) {
+// observe feeds one scored parse into the sentinel.
+func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, conf float64) {
 	rate := nullOtherRate(rec)
 	m.met.driftObs.Inc()
 	m.met.confidence.Observe(conf)
@@ -427,39 +443,30 @@ func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, text string, c
 		reg = "(unattributed)"
 	}
 	flagged, unflagged, total := m.sentinel.observe(reg, conf, rate)
-	if flagged || unflagged {
-		m.met.driftFlagged.Set(int64(total))
-		if flagged {
-			m.met.driftEvents.Inc()
-			m.log.Warn("drift flagged",
-				"registrar", reg, "model", snap.Version,
-				"conf", fmt.Sprintf("%.3f", conf), "nullrate", fmt.Sprintf("%.3f", rate))
-			if m.State() == StateServing {
-				m.setState(StateDriftFlagged)
-			}
-			if m.opts.Tiered != nil && m.opts.Tiered.Demote(reg) {
-				// The drifted registrar's template must stop serving:
-				// an exact template is the artifact drift invalidates
-				// first (§2.3). L1 takes the registrar until shadow
-				// agreement re-promotes it.
-				m.log.Warn("template demoted", "registrar", reg)
-			}
-			if m.opts.OnDrift != nil {
-				m.opts.OnDrift(reg)
-			}
+	if !flagged && !unflagged {
+		return
+	}
+	m.met.driftFlagged.Set(int64(total))
+	if flagged {
+		m.met.driftEvents.Inc()
+		m.log.Warn("drift flagged",
+			"registrar", reg, "model", snap.Version,
+			"conf", fmt.Sprintf("%.3f", conf), "nullrate", fmt.Sprintf("%.3f", rate))
+		if m.State() == StateServing {
+			m.setState(StateDriftFlagged)
 		}
-		if unflagged {
-			m.log.Info("drift cleared", "registrar", reg)
-			if total == 0 && m.State() == StateDriftFlagged {
-				m.setState(StateServing)
-			}
+		if m.opts.Tiered != nil && m.opts.Tiered.Demote(reg) {
+			// The drifted registrar's template must stop serving: an
+			// exact template is the artifact drift invalidates first
+			// (§2.3). L1 takes the registrar until shadow agreement
+			// re-promotes it.
+			m.log.Warn("template demoted", "registrar", reg)
 		}
 	}
-
-	if conf < m.opts.QueueThreshold {
-		domain := rec.DomainName
-		if !m.queue.add(domain, text, conf) {
-			m.met.queueDropped.Inc()
+	if unflagged {
+		m.log.Info("drift cleared", "registrar", reg)
+		if total == 0 && m.State() == StateDriftFlagged {
+			m.setState(StateServing)
 		}
 	}
 }
@@ -472,43 +479,91 @@ func (m *Manager) Flagged() []string {
 	return fs
 }
 
-// Swap publishes p as the live model: a new snapshot is built, every
-// attached server is rebound (which bumps its cache generation, so
-// stale entries from the old model stop matching), and the snapshot is
-// returned. info/path carry the artifact identity when the model came
-// from disk; pass zero values for in-memory models.
-func (m *Manager) Swap(p *core.Parser, info store.ModelInfo, path string) *Snapshot {
-	return m.swap(p, info, path, regIdentity{})
-}
-
-func (m *Manager) swap(p *core.Parser, info store.ModelInfo, path string, rid regIdentity) *Snapshot {
-	m.mu.Lock()
-	snap := m.publish(p, info, path, rid)
-	m.mu.Unlock()
-	m.met.swaps.Inc()
-	m.log.Info("model swapped", "version", snap.Version, "seq", snap.Seq,
-		"artifact", info.String())
-	return snap
-}
-
-// publish builds, instruments, stores, and rebinds. Callers other than
-// newManager must hold m.mu.
-func (m *Manager) publish(p *core.Parser, info store.ModelInfo, path string, rid regIdentity) *Snapshot {
-	seq := m.seq.Add(1)
-	version := versionString(seq, info)
-	if rid.Family != "" {
-		version = modelreg.FormatVersionString(rid.Family, rid.SemVer, info.CRC32C)
+// Reload re-reads the model source and swaps the result live — the one
+// path behind SIGHUP and the admin reload endpoint. A registry source
+// re-resolves the family's serving pointer (a promote by another
+// process becomes visible); a bare file is re-read from disk. When the
+// source still names the version already serving, nothing swaps and
+// changed is false, so redundant reloads are free. The artifact is
+// fully verified before anything is published: a corrupt source leaves
+// the old model serving. A manager built by OpenBytes has no source and
+// reports the current snapshot unchanged.
+func (m *Manager) Reload() (snap *Snapshot, changed bool, err error) {
+	if m.path == "" {
+		return m.cur.Load(), false, nil
 	}
-	snap := &Snapshot{Parser: p, Seq: seq, Info: info, Path: path,
-		Family: rid.Family, SemVer: rid.SemVer, Version: version}
+	path, semver := m.path, ImplicitVersion
+	if m.reg != nil {
+		res, err := m.reg.ResolveServing(m.family)
+		if err != nil {
+			return nil, false, err
+		}
+		if cur := m.cur.Load(); cur != nil && cur.Version == res.VersionString() {
+			return cur, false, nil
+		}
+		path, semver = res.Path, res.Version
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, fmt.Errorf("lifecycle: read model: %w", err)
+	}
+	return m.install(data, m.family, semver, path)
+}
+
+// Apply verifies a WMDL artifact that arrived off the wire and swaps it
+// live under the sender's identity (family, semver) — the cluster join
+// and rollout path. Applying the version already serving does nothing:
+// no swap, no cache invalidation. A corrupt or truncated transfer
+// leaves the old model serving.
+func (m *Manager) Apply(data []byte, family, semver string) (snap *Snapshot, changed bool, err error) {
+	return m.install(data, family, semver, "")
+}
+
+// install verifies data, and decodes and publishes it unless its
+// version is already serving.
+func (m *Manager) install(data []byte, family, semver, path string) (*Snapshot, bool, error) {
+	a, err := verifyArtifact(data, family, semver, path)
+	if err != nil {
+		return nil, false, err
+	}
+	cur := m.cur.Load()
+	if cur != nil && cur.Version == a.Version {
+		return cur, false, nil
+	}
+	p, err := store.ReadModel(bytes.NewReader(a.Artifact))
+	if err != nil {
+		return nil, false, err
+	}
+	snap, changed := m.swap(p, a)
+	if changed && cur != nil {
+		m.met.reloads.Inc()
+	}
+	return snap, changed, nil
+}
+
+// swap publishes p as the live model under the identity verifyArtifact
+// gave it: the snapshot is completed, every attached server is rebound
+// (which bumps its cache generation, so stale entries from the old
+// model stop matching), and the snapshot is returned. A concurrent swap
+// that already published the same version wins; this one then reports
+// no change.
+func (m *Manager) swap(p *core.Parser, id Snapshot) (*Snapshot, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cur := m.cur.Load()
+	if cur != nil && cur.Version == id.Version {
+		return cur, false
+	}
+	seq := m.seq.Add(1)
+	snap := &id
+	snap.Parser, snap.Seq = p, seq
 	// Instrument before publication (Instrument is not safe once the
-	// parser is shared), exactly once per parser object, and only into
-	// a caller-provided registry — instrumenting into the manager's
-	// private default would silently redirect core.* metrics a daemon
-	// already wired elsewhere.
-	if m.instrument && !m.instrumented[p] {
+	// parser is shared — every parser reaching here was just decoded or
+	// trained), and only into a caller-provided registry: instrumenting
+	// into the manager's private default would silently redirect core.*
+	// metrics a daemon already wired elsewhere.
+	if m.instrument {
 		p.Instrument(m.opts.Metrics)
-		m.instrumented[p] = true
 	}
 	m.cur.Store(snap)
 	m.met.modelSeq.Set(int64(seq))
@@ -516,56 +571,11 @@ func (m *Manager) publish(p *core.Parser, info store.ModelInfo, path string, rid
 	for _, ps := range m.attached {
 		ps.SetParseFunc(fn)
 	}
-	return snap
-}
-
-// ReloadFromFile loads the WMDL artifact at path and swaps it live —
-// the SIGHUP / admin-reload path. The artifact is fully validated
-// (magic, version, CRC, dimensions) before anything is published, so a
-// torn or corrupt file leaves the old model serving.
-func (m *Manager) ReloadFromFile(path string) (*Snapshot, error) {
-	info, err := store.StatModel(path)
-	if err != nil {
-		return nil, err
+	if cur != nil {
+		m.met.swaps.Inc()
+		m.log.Info("model swapped", "version", snap.Version, "seq", snap.Seq)
 	}
-	p, err := store.LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	snap := m.Swap(p, info, path)
-	m.met.reloads.Inc()
-	return snap, nil
-}
-
-// ReloadFromBytes loads a WMDL artifact from memory and swaps it live —
-// the cluster model-distribution path: a joining node fetches the
-// serving artifact from a peer over the shard protocol and applies it
-// only after the magic, format version, payload CRC32C, and feature
-// dimensions all verify. A corrupt or truncated transfer leaves the old
-// model serving, exactly like a bad file on the SIGHUP path. The
-// snapshot carries the artifact identity but no path (the bytes came
-// off the wire, not disk).
-func (m *Manager) ReloadFromBytes(data []byte) (*Snapshot, error) {
-	info, err := store.StatModelBytes(data)
-	if err != nil {
-		return nil, err
-	}
-	p, err := store.ReadModel(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	snap := m.Swap(p, info, "")
-	m.met.reloads.Inc()
-	return snap, nil
-}
-
-// versionString renders a snapshot's stamp: "m<seq>" for in-memory
-// models, "m<seq>-<crc32c>" when the artifact identity is known.
-func versionString(seq uint64, info store.ModelInfo) string {
-	if info.IsZero() {
-		return fmt.Sprintf("m%d", seq)
-	}
-	return fmt.Sprintf("m%d-%08x", seq, info.CRC32C)
+	return snap, true
 }
 
 // nullOtherRate is the fraction of a record's retained lines labeled

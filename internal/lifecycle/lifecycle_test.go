@@ -2,7 +2,6 @@ package lifecycle
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/labels"
+	"repro/internal/modelreg"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/synth"
@@ -70,6 +70,38 @@ func holdoutSet(t testing.TB) []*labels.LabeledRecord {
 	return recs[300:]
 }
 
+// encode is store.EncodeModel for fixtures.
+func encode(t testing.TB, p *core.Parser) []byte {
+	t.Helper()
+	data, err := store.EncodeModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// openParser opens p the way a daemon opens a model it trained at
+// startup: encoded once, then verified and named from those bytes.
+func openParser(t testing.TB, p *core.Parser, opts Options) *Manager {
+	t.Helper()
+	m, err := OpenBytes(encode(t, p), "", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// stamp is the canonical version string for data served as
+// default/<semver>.
+func stamp(t testing.TB, data []byte, semver string) string {
+	t.Helper()
+	info, err := store.VerifyModelBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return modelreg.FormatVersionString(modelreg.DefaultFamily, semver, info.CRC32C)
+}
+
 func TestStateString(t *testing.T) {
 	want := map[State]string{
 		StateServing:      "serving",
@@ -87,26 +119,38 @@ func TestStateString(t *testing.T) {
 
 func TestManagerStampsVersion(t *testing.T) {
 	recs, weak, _ := fixtures(t)
-	m := New(weak, Options{})
+	m := openParser(t, weak, Options{})
 	snap := m.Current()
-	if snap.Seq != 1 || snap.Version != "m1" {
-		t.Fatalf("initial snapshot = seq %d version %q, want 1/m1", snap.Seq, snap.Version)
+	want := stamp(t, encode(t, weak), ImplicitVersion)
+	if snap.Seq != 1 || snap.Version != want {
+		t.Fatalf("initial snapshot = seq %d version %q, want 1/%s", snap.Seq, snap.Version, want)
+	}
+	if snap.Family != modelreg.DefaultFamily || snap.SemVer != ImplicitVersion || snap.Path != "" {
+		t.Fatalf("in-memory identity = %q/%q path %q", snap.Family, snap.SemVer, snap.Path)
 	}
 	if got := m.State(); got != StateServing {
 		t.Fatalf("initial state = %v, want serving", got)
 	}
 	rec := m.Parse(recs[0].Text)
-	if rec.ModelVersion != "m1" {
-		t.Fatalf("ModelVersion = %q, want m1", rec.ModelVersion)
+	if rec.ModelVersion != want {
+		t.Fatalf("ModelVersion = %q, want %q", rec.ModelVersion, want)
+	}
+	// Nothing to re-read: reload of an in-memory model is a no-op.
+	if s, changed, err := m.Reload(); err != nil || changed || s != snap {
+		t.Fatalf("in-memory reload: changed=%v err=%v", changed, err)
+	}
+	if _, err := OpenBytes([]byte("not a model"), "", Options{}); err == nil {
+		t.Fatal("OpenBytes accepted junk")
 	}
 }
 
 func TestAttachAndSwapInvalidatesCache(t *testing.T) {
 	recs, weak, strong := fixtures(t)
-	m := New(weak, Options{})
+	m := openParser(t, weak, Options{})
 	ps := serve.New(weak, serve.Options{Workers: 2})
 	defer ps.Close()
 	m.Attach(ps)
+	v1 := m.Current().Version
 
 	ctx := context.Background()
 	text := recs[0].Text
@@ -114,77 +158,103 @@ func TestAttachAndSwapInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.ModelVersion != "m1" {
-		t.Fatalf("pre-swap ModelVersion = %q, want m1", rec.ModelVersion)
+	if rec.ModelVersion != v1 {
+		t.Fatalf("pre-swap ModelVersion = %q, want %q", rec.ModelVersion, v1)
 	}
 	// Cache hit still carries the stamp.
 	rec, err = ps.ParseWait(ctx, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.ModelVersion != "m1" {
-		t.Fatalf("cached ModelVersion = %q, want m1", rec.ModelVersion)
+	if rec.ModelVersion != v1 {
+		t.Fatalf("cached ModelVersion = %q, want %q", rec.ModelVersion, v1)
 	}
 
-	snap := m.Swap(strong, store.ModelInfo{}, "")
-	if snap.Seq != 2 || snap.Version != "m2" {
-		t.Fatalf("swap snapshot = seq %d version %q, want 2/m2", snap.Seq, snap.Version)
+	data := encode(t, strong)
+	snap, changed, err := m.Apply(data, "", "1.2.0")
+	if err != nil || !changed {
+		t.Fatalf("apply: changed=%v err=%v", changed, err)
+	}
+	if want := stamp(t, data, "1.2.0"); snap.Seq != 2 || snap.Version != want {
+		t.Fatalf("swap snapshot = seq %d version %q, want 2/%s", snap.Seq, snap.Version, want)
 	}
 	// The same text must re-parse under the new model — a stale cache
-	// hit would still say m1.
+	// hit would still carry the old stamp.
 	rec, err = ps.ParseWait(ctx, text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.ModelVersion != "m2" {
-		t.Fatalf("post-swap ModelVersion = %q, want m2 (stale cache?)", rec.ModelVersion)
+	if rec.ModelVersion != snap.Version {
+		t.Fatalf("post-swap ModelVersion = %q, want %q (stale cache?)", rec.ModelVersion, snap.Version)
+	}
+
+	// Applying the version already serving does nothing: no new
+	// snapshot, no cache invalidation.
+	gen := ps.Generation()
+	again, changed, err := m.Apply(data, "", "1.2.0")
+	if err != nil || changed || again != snap {
+		t.Fatalf("re-apply: changed=%v err=%v", changed, err)
+	}
+	if ps.Generation() != gen {
+		t.Fatal("re-applying the serving version bumped the cache generation")
+	}
+	if _, _, err := m.Apply(data[:len(data)-1], "", "1.3.0"); err == nil {
+		t.Fatal("apply of a truncated artifact succeeded")
+	}
+	if m.Current() != snap {
+		t.Fatal("failed apply replaced the live snapshot")
 	}
 	if m.Metrics() == nil {
 		t.Fatal("Metrics() returned nil registry")
 	}
 }
 
-func TestNewFromFileAndReload(t *testing.T) {
+func TestOpenFileAndReload(t *testing.T) {
 	recs, weak, strong := fixtures(t)
 	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.model")
-	pathB := filepath.Join(dir, "b.model")
-	if err := store.SaveModel(weak, pathA); err != nil {
+	path := filepath.Join(dir, "parser.wmdl")
+	if err := store.SaveModel(weak, path); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveModel(strong, pathB); err != nil {
-		t.Fatal(err)
-	}
-	infoA, err := store.StatModel(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infoB, err := store.StatModel(pathB)
+	infoA, err := store.StatModel(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	m, err := NewFromFile(pathA, Options{})
+	m, err := Open(path, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.Registry() != nil {
+		t.Fatal("bare file opened with a registry")
+	}
 	snap := m.Current()
-	if want := fmt.Sprintf("m1-%08x", infoA.CRC32C); snap.Version != want {
+	if want := modelreg.FormatVersionString("default", ImplicitVersion, infoA.CRC32C); snap.Version != want {
 		t.Fatalf("version = %q, want %q", snap.Version, want)
 	}
-	if snap.Info != infoA || snap.Path != pathA {
-		t.Fatalf("snapshot identity = %+v/%q, want %+v/%q", snap.Info, snap.Path, infoA, pathA)
+	if snap.Info != infoA || snap.Path != path {
+		t.Fatalf("snapshot identity = %+v/%q, want %+v/%q", snap.Info, snap.Path, infoA, path)
 	}
 	if rec := m.Parse(recs[0].Text); rec.ModelVersion != snap.Version {
 		t.Fatalf("stamp = %q, want %q", rec.ModelVersion, snap.Version)
 	}
 
-	// Operator reload swaps to the new artifact.
-	snap2, err := m.ReloadFromFile(pathB)
-	if err != nil {
+	// The file is unchanged: reload is a no-op.
+	if s, changed, err := m.Reload(); err != nil || changed || s != snap {
+		t.Fatalf("idle reload: changed=%v err=%v", changed, err)
+	}
+
+	// Operator replaces the file and reloads: the new artifact swaps in
+	// under the same implicit version, named by its own CRC.
+	if err := store.SaveModel(strong, path); err != nil {
 		t.Fatal(err)
 	}
-	if want := fmt.Sprintf("m2-%08x", infoB.CRC32C); snap2.Version != want {
+	infoB, _ := store.StatModel(path)
+	snap2, changed, err := m.Reload()
+	if err != nil || !changed {
+		t.Fatalf("reload: changed=%v err=%v", changed, err)
+	}
+	if want := modelreg.FormatVersionString("default", ImplicitVersion, infoB.CRC32C); snap2.Version != want {
 		t.Fatalf("reloaded version = %q, want %q", snap2.Version, want)
 	}
 	if m.Current() != snap2 {
@@ -192,15 +262,17 @@ func TestNewFromFileAndReload(t *testing.T) {
 	}
 
 	// A corrupt artifact must be rejected with the old model untouched.
-	bad := filepath.Join(dir, "bad.model")
-	if err := os.WriteFile(bad, []byte("not a model"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("not a model"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ReloadFromFile(bad); err == nil {
+	if _, _, err := m.Reload(); err == nil {
 		t.Fatal("reload of junk artifact succeeded")
 	}
 	if m.Current() != snap2 {
 		t.Fatal("failed reload replaced the live snapshot")
+	}
+	if _, err := Open(filepath.Join(dir, "missing.wmdl"), "", Options{}); err == nil {
+		t.Fatal("Open of a missing path succeeded")
 	}
 }
 
@@ -213,31 +285,20 @@ func TestNewFromFileAndReload(t *testing.T) {
 // side.
 func TestHotSwapUnderLoad(t *testing.T) {
 	recs, weak, strong := fixtures(t)
-	dir := t.TempDir()
-	pathA := filepath.Join(dir, "a.model")
-	pathB := filepath.Join(dir, "b.model")
-	if err := store.SaveModel(weak, pathA); err != nil {
+	path := filepath.Join(t.TempDir(), "parser.wmdl")
+	if err := store.SaveModel(weak, path); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveModel(strong, pathB); err != nil {
-		t.Fatal(err)
-	}
-	infoA, _ := store.StatModel(pathA)
-	infoB, _ := store.StatModel(pathB)
 
 	const swaps = 6
-	// The version sequence is deterministic: m1 from pathA, then
-	// alternating reloads starting with pathB.
-	valid := map[string]bool{fmt.Sprintf("m1-%08x", infoA.CRC32C): true}
-	for i := 1; i <= swaps; i++ {
-		crc := infoB.CRC32C
-		if i%2 == 0 {
-			crc = infoA.CRC32C
-		}
-		valid[fmt.Sprintf("m%d-%08x", i+1, crc)] = true
+	// Reloads alternate the file between the two models; both names
+	// are the only valid stamps.
+	valid := map[string]bool{
+		stamp(t, encode(t, weak), ImplicitVersion):   true,
+		stamp(t, encode(t, strong), ImplicitVersion): true,
 	}
 
-	m, err := NewFromFile(pathA, Options{})
+	m, err := Open(path, "", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +351,16 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	}
 
 	for i := 1; i <= swaps; i++ {
-		path := pathB
+		next := strong
 		if i%2 == 0 {
-			path = pathA
+			next = weak
 		}
-		snap, err := m.ReloadFromFile(path)
-		if err != nil {
+		if err := store.SaveModel(next, path); err != nil {
 			t.Fatal(err)
+		}
+		snap, changed, err := m.Reload()
+		if err != nil || !changed {
+			t.Fatalf("reload %d: changed=%v err=%v", i, changed, err)
 		}
 		// A request admitted after the swap must be served by exactly
 		// the new version: the parse function and cache generation
@@ -341,22 +405,19 @@ func TestHotSwapUnderLoad(t *testing.T) {
 
 // TestManagerDriftLifecycle drives the sentinel through the manager's
 // observe path with synthetic observations: flag on sustained low
-// confidence, invoke OnDrift once, queue the low-confidence record,
-// then clear the flag when confidence recovers.
+// confidence, then clear the flag when confidence recovers.
 func TestManagerDriftLifecycle(t *testing.T) {
 	_, weak, _ := fixtures(t)
-	var drifted []string
-	m := New(weak, Options{
+	m := openParser(t, weak, Options{
 		SampleEvery: 1, Window: 8, MinWindow: 4,
 		ConfidenceFloor: 0.5,
-		OnDrift:         func(r string) { drifted = append(drifted, r) },
 	})
 	rec := &core.ParsedRecord{
 		Registrar: "Example Registrar",
 		Blocks:    []labels.Block{labels.Registrar, labels.Null},
 	}
 	for i := 0; i < 8; i++ {
-		m.observe(m.Current(), rec, "low confidence text", 0.1)
+		m.observe(m.Current(), rec, 0.1)
 	}
 	if got := m.State(); got != StateDriftFlagged {
 		t.Fatalf("state = %v, want drift-flagged", got)
@@ -364,19 +425,13 @@ func TestManagerDriftLifecycle(t *testing.T) {
 	if got := m.Flagged(); len(got) != 1 || got[0] != "Example Registrar" {
 		t.Fatalf("Flagged() = %v", got)
 	}
-	if len(drifted) != 1 || drifted[0] != "Example Registrar" {
-		t.Fatalf("OnDrift calls = %v, want exactly one", drifted)
-	}
-	if got := m.queue.len(); got != 1 {
-		t.Fatalf("queue holds %d entries, want 1 (deduped)", got)
-	}
 	if got := m.Metrics().Counter("lifecycle.drift.events").Value(); got != 1 {
 		t.Fatalf("drift.events = %d, want 1", got)
 	}
 
 	// Recovery: enough healthy observations flush the window.
 	for i := 0; i < 16; i++ {
-		m.observe(m.Current(), rec, "healthy text", 0.99)
+		m.observe(m.Current(), rec, 0.99)
 	}
 	if got := m.State(); got != StateServing {
 		t.Fatalf("state after recovery = %v, want serving", got)
@@ -389,7 +444,7 @@ func TestManagerDriftLifecycle(t *testing.T) {
 	// under the synthetic key.
 	anon := &core.ParsedRecord{Blocks: []labels.Block{labels.Null}}
 	for i := 0; i < 8; i++ {
-		m.observe(m.Current(), anon, "anon text", 0.1)
+		m.observe(m.Current(), anon, 0.1)
 	}
 	if got := m.Flagged(); len(got) != 1 || got[0] != "(unattributed)" {
 		t.Fatalf("Flagged() = %v, want [(unattributed)]", got)

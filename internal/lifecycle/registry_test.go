@@ -37,13 +37,16 @@ func seedRegistry(t *testing.T, p *core.Parser, family string) *modelreg.Registr
 	return reg
 }
 
-func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
+func TestOpenRegistryStampsCanonicalVersion(t *testing.T) {
 	recs, weak, strong := fixtures(t)
 	reg := seedRegistry(t, weak, "default")
 
-	m, err := NewFromRegistry(reg, "", Options{})
+	m, err := Open(reg.Root(), "", Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.Registry() == nil || m.Family() != "default" {
+		t.Fatalf("registry source not recognized: %v %q", m.Registry(), m.Family())
 	}
 	snap := m.Current()
 	if snap.Family != "default" || snap.SemVer != "1.0.0" {
@@ -59,7 +62,7 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 	}
 
 	// Nothing new serving: reload is a no-op.
-	if _, changed, err := m.ReloadServing(); err != nil || changed {
+	if _, changed, err := m.Reload(); err != nil || changed {
 		t.Fatalf("idle reload: changed=%v err=%v", changed, err)
 	}
 
@@ -80,7 +83,7 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap2, changed, err := m.ReloadServing()
+	snap2, changed, err := m.Reload()
 	if err != nil || !changed {
 		t.Fatalf("reload after promote: changed=%v err=%v", changed, err)
 	}
@@ -91,10 +94,9 @@ func TestNewFromRegistryStampsCanonicalVersion(t *testing.T) {
 		t.Fatal("parse not stamped with reloaded version")
 	}
 
-	// Managers without a registry refuse ReloadServing.
-	plain := New(weak, Options{})
-	if _, _, err := plain.ReloadServing(); err != ErrNoRegistry {
-		t.Fatalf("plain ReloadServing err = %v", err)
+	// A family with no serving pointer does not open.
+	if _, err := Open(reg.Root(), "tld-com", Options{}); err == nil {
+		t.Fatal("Open of a family with nothing serving succeeded")
 	}
 }
 
@@ -102,7 +104,7 @@ func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
 	recs, weak, _ := fixtures(t)
 	reg := seedRegistry(t, weak, "default")
 
-	m, err := NewFromRegistry(reg, "default", Options{
+	m, err := Open(reg.Root(), "default", Options{
 		Holdout:    holdoutSet(t),
 		CorpusPath: "/data/corpus.store",
 	})
@@ -167,7 +169,7 @@ func TestRetrainPublishesAndPromotesThroughRegistry(t *testing.T) {
 func TestRetrainRejectionParksAtShadow(t *testing.T) {
 	recs, _, strong := fixtures(t)
 	reg := seedRegistry(t, strong, "default")
-	m, err := NewFromRegistry(reg, "default", Options{Holdout: holdoutSet(t)})
+	m, err := Open(reg.Root(), "default", Options{Holdout: holdoutSet(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,9 @@ type RetrainResult struct {
 	Shadow ShadowReport
 	// Snapshot is the promoted snapshot (nil when rejected).
 	Snapshot *Snapshot
-	// Manifest is the candidate's registry manifest when the manager is
-	// registry-backed (set for promoted and rejected candidates alike —
-	// rejected versions are parked at the shadow stage with their
-	// losing scores on record); nil otherwise.
+	// Manifest is the candidate's registry manifest (set for promoted
+	// and rejected candidates alike — rejected versions are parked at
+	// the shadow stage with their losing scores on record).
 	Manifest *modelreg.Manifest
 }
 
@@ -67,14 +66,20 @@ type RetrainResult struct {
 // records (warm-started from the live model's weights, so optimization
 // resumes rather than restarts), shadow-evaluate candidate and live
 // model on the held-out set, and promote the candidate only if it is no
-// worse on both token- and record-level error. Promotion persists the
-// candidate to Options.PromotePath (when set) as a WMDL artifact and
-// hot-swaps it into every attached server; rejection leaves the live
-// model serving untouched. One retrain runs at a time — concurrent
-// calls serialize.
+// worse on both token- and record-level error. Every candidate is
+// published into the manager's model registry with its provenance and
+// scores; a winner is walked candidate → shadow → serving and hot-swapped
+// into every attached server, a loser is parked at shadow with the live
+// model serving untouched. A manager without a registry (opened from a
+// bare file or from memory) returns ErrNoRegistry: promotion is a
+// registry pointer move, never an in-place overwrite. One retrain runs
+// at a time — concurrent calls serialize.
 func (m *Manager) Retrain(records []*labels.LabeledRecord) (RetrainResult, error) {
 	if len(m.opts.Holdout) == 0 {
 		return RetrainResult{}, ErrNoHoldout
+	}
+	if m.reg == nil {
+		return RetrainResult{}, ErrNoRegistry
 	}
 	if len(records) == 0 {
 		return RetrainResult{}, errors.New("lifecycle: retrain with no labeled records")
@@ -111,15 +116,14 @@ func (m *Manager) Retrain(records []*labels.LabeledRecord) (RetrainResult, error
 	}
 	res := RetrainResult{Stats: stats, Shadow: report}
 
-	// Registry-backed managers publish every candidate — promoted or
-	// not — as an immutable version with its provenance and scores, so
-	// the training run is auditable either way.
-	if m.opts.Registry != nil {
-		res.Manifest, err = m.publishCandidate(cand, report, len(records))
-		if err != nil {
-			m.met.retrainErrs.Inc()
-			return res, fmt.Errorf("lifecycle: publish candidate: %w", err)
-		}
+	// Publish every candidate — promoted or not — as an immutable
+	// version with its provenance and scores, so the training run is
+	// auditable either way.
+	var id Snapshot
+	res.Manifest, id, err = m.publishCandidate(cand, report, len(records))
+	if err != nil {
+		m.met.retrainErrs.Inc()
+		return res, fmt.Errorf("lifecycle: publish candidate: %w", err)
 	}
 
 	if !report.candidateNoWorse() {
@@ -129,44 +133,26 @@ func (m *Manager) Retrain(records []*labels.LabeledRecord) (RetrainResult, error
 			report.CandBlocks.LineErrorRate(), report.LiveBlocks.LineErrorRate(),
 			report.CandBlocks.DocErrorRate(), report.LiveBlocks.DocErrorRate())
 		m.log.Warn("candidate rejected", "live", live.Version, "reason", res.Reason)
-		if res.Manifest != nil {
-			// Park the loser at the shadow stage: it stays inspectable
-			// (`model list` / `model diff`) but can never reach serving
-			// without an explicit promote.
-			if perr := m.parkAtShadow(res.Manifest.Version); perr != nil {
-				m.log.Warn("could not park rejected candidate", "err", perr.Error())
-			}
+		// Park the loser at the shadow stage: it stays inspectable
+		// (`model list` / `model diff`) but can never reach serving
+		// without an explicit promote.
+		if _, perr := m.reg.Promote(m.family, res.Manifest.Version); perr != nil {
+			m.log.Warn("could not park rejected candidate", "err", perr.Error())
 		}
 		return res, nil
 	}
 
-	// Promote: persist first, so the in-process swap and the durable
-	// artifact can never disagree about which model is "the promoted
-	// one". With a registry, that means walking the published version
-	// through candidate → shadow → serving (each move verify-gated);
-	// without one, an atomic overwrite of PromotePath.
-	var info store.ModelInfo
-	var rid regIdentity
-	path := m.opts.PromotePath
-	if m.opts.Registry != nil {
-		resolved, perr := m.promoteThroughRegistry(res.Manifest.Version)
-		if perr != nil {
+	// Promote: persist first, so the in-process swap and the registry
+	// can never disagree about which model is "the promoted one" — walk
+	// the published version candidate → shadow → serving, each move
+	// verify-gated.
+	for i := 0; i < 2; i++ {
+		if _, perr := m.reg.Promote(m.family, res.Manifest.Version); perr != nil {
 			m.met.retrainErrs.Inc()
 			return res, fmt.Errorf("lifecycle: promote: %w", perr)
 		}
-		info, path = resolved.Info, resolved.Path
-		rid = regIdentity{Family: resolved.Family, SemVer: resolved.Version}
-	} else if path != "" {
-		if err := store.SaveModel(cand, path); err != nil {
-			m.met.retrainErrs.Inc()
-			return res, fmt.Errorf("lifecycle: promote: %w", err)
-		}
-		if info, err = store.StatModel(path); err != nil {
-			m.met.retrainErrs.Inc()
-			return res, fmt.Errorf("lifecycle: promote: %w", err)
-		}
 	}
-	snap := m.swap(cand, info, path, rid)
+	snap, _ := m.swap(cand, id)
 	if m.opts.Tiered != nil {
 		// The candidate's training records are the freshest labeled view
 		// of every registrar's format; recompile L0 from them so the
@@ -206,4 +192,46 @@ func shadowEval(live, cand *core.Parser, holdout []*labels.LabeledRecord) (Shado
 		return r, err
 	}
 	return r, nil
+}
+
+// publishCandidate encodes a retrain candidate once, publishes those
+// bytes into the registry with full provenance, and stages the new
+// version as the family's candidate. Called with retrainMu held.
+func (m *Manager) publishCandidate(cand *core.Parser, report ShadowReport, trainRecords int) (*modelreg.Manifest, Snapshot, error) {
+	data, err := store.EncodeModel(cand)
+	if err != nil {
+		return nil, Snapshot{}, err
+	}
+	// The live model is the candidate's parent when the registry knows
+	// it (a model applied off the wire may not be in this registry).
+	parent := ""
+	if live := m.cur.Load(); live.Family == m.family {
+		if _, err := m.reg.Manifest(m.family, live.SemVer); err == nil {
+			parent = live.SemVer
+		}
+	}
+	manifest, err := m.reg.Publish(modelreg.PublishRequest{
+		Family:   m.family,
+		Parent:   parent,
+		Artifact: data,
+		Provenance: modelreg.Provenance{
+			CorpusPath:           m.opts.CorpusPath,
+			TrainRecords:         trainRecords,
+			HoldoutRecords:       len(m.opts.Holdout),
+			ShadowTokenAccuracy:  1 - report.CandBlocks.LineErrorRate(),
+			ShadowRecordAccuracy: 1 - report.CandBlocks.DocErrorRate(),
+			LiveTokenAccuracy:    1 - report.LiveBlocks.LineErrorRate(),
+			LiveRecordAccuracy:   1 - report.LiveBlocks.DocErrorRate(),
+			Trainer:              "lifecycle.Retrain",
+		},
+	})
+	if err != nil {
+		return nil, Snapshot{}, err
+	}
+	a, err := verifyArtifact(data, m.family, manifest.Version,
+		m.reg.ArtifactPath(m.family, manifest.Version))
+	if err != nil {
+		return manifest, a, err
+	}
+	return manifest, a, m.reg.SetCandidate(m.family, manifest.Version)
 }

@@ -3,21 +3,20 @@ package lifecycle
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/eval"
 	"repro/internal/labels"
 	"repro/internal/serve"
-	"repro/internal/store"
 )
 
 func TestRetrainPromotesBetterCandidate(t *testing.T) {
 	recs, weak, _ := fixtures(t)
-	dir := t.TempDir()
-	promote := filepath.Join(dir, "promoted.model")
-	m := New(weak, Options{Holdout: holdoutSet(t), PromotePath: promote})
+	reg := seedRegistry(t, weak, "default")
+	m, err := Open(reg.Root(), "", Options{Holdout: holdoutSet(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ps := serve.New(weak, serve.Options{Workers: 2})
 	defer ps.Close()
 	m.Attach(ps)
@@ -36,17 +35,18 @@ func TestRetrainPromotesBetterCandidate(t *testing.T) {
 		t.Fatalf("shadow eval covered %d docs, want %d", res.Shadow.CandBlocks.Docs, len(holdoutSet(t)))
 	}
 
-	// Promotion persisted a valid WMDL artifact whose identity is in
-	// the snapshot version.
-	info, err := store.StatModel(promote)
+	// Promotion persisted a valid WMDL artifact in the registry whose
+	// identity is in the snapshot version.
+	resolved, err := reg.ResolveServing("default")
 	if err != nil {
-		t.Fatalf("promoted artifact unreadable: %v", err)
+		t.Fatalf("promoted artifact unresolvable: %v", err)
 	}
-	if res.Snapshot.Info != info {
-		t.Fatalf("snapshot info %+v != artifact info %+v", res.Snapshot.Info, info)
+	if res.Snapshot.Info != resolved.Info || res.Snapshot.Version != resolved.VersionString() {
+		t.Fatalf("snapshot %+v/%q != registry %+v/%q",
+			res.Snapshot.Info, res.Snapshot.Version, resolved.Info, resolved.VersionString())
 	}
-	if res.Snapshot.Path != promote {
-		t.Fatalf("snapshot path = %q, want %q", res.Snapshot.Path, promote)
+	if res.Snapshot.Path != resolved.Path {
+		t.Fatalf("snapshot path = %q, want %q", res.Snapshot.Path, resolved.Path)
 	}
 
 	// Serving switched to the promoted model.
@@ -67,12 +67,14 @@ func TestRetrainPromotesBetterCandidate(t *testing.T) {
 
 // TestRetrainRejectsWorseCandidate is the safety property: a candidate
 // trained on corrupted labels must never be promoted — the old model
-// keeps serving and no artifact is written.
+// keeps serving and the registry's serving pointer does not move.
 func TestRetrainRejectsWorseCandidate(t *testing.T) {
 	recs, _, strong := fixtures(t)
-	dir := t.TempDir()
-	promote := filepath.Join(dir, "promoted.model")
-	m := New(strong, Options{Holdout: holdoutSet(t), PromotePath: promote})
+	reg := seedRegistry(t, strong, "default")
+	m, err := Open(reg.Root(), "", Options{Holdout: holdoutSet(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ps := serve.New(strong, serve.Options{Workers: 2})
 	defer ps.Close()
 	m.Attach(ps)
@@ -103,8 +105,8 @@ func TestRetrainRejectsWorseCandidate(t *testing.T) {
 	if m.Current() != before {
 		t.Fatal("rejection replaced the live snapshot")
 	}
-	if _, err := os.Stat(promote); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("rejected candidate hit PromotePath: stat err = %v", err)
+	if resolved, err := reg.ResolveServing("default"); err != nil || resolved.Version != "1.0.0" {
+		t.Fatalf("rejected candidate moved the serving pointer: %+v, %v", resolved, err)
 	}
 	rec, err := ps.ParseWait(context.Background(), recs[0].Text)
 	if err != nil {
@@ -123,11 +125,20 @@ func TestRetrainRejectsWorseCandidate(t *testing.T) {
 
 func TestRetrainPreconditions(t *testing.T) {
 	recs, weak, _ := fixtures(t)
-	m := New(weak, Options{})
+	m := openParser(t, weak, Options{})
 	if _, err := m.Retrain(recs[:10]); !errors.Is(err, ErrNoHoldout) {
 		t.Fatalf("retrain without holdout: err = %v, want ErrNoHoldout", err)
 	}
-	m = New(weak, Options{Holdout: holdoutSet(t)})
+	// Promotion is a registry pointer move; without a registry there
+	// is nowhere to promote to.
+	m = openParser(t, weak, Options{Holdout: holdoutSet(t)})
+	if _, err := m.Retrain(recs[:10]); !errors.Is(err, ErrNoRegistry) {
+		t.Fatalf("retrain without registry: err = %v, want ErrNoRegistry", err)
+	}
+	m, err := Open(seedRegistry(t, weak, "default").Root(), "", Options{Holdout: holdoutSet(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Retrain(nil); err == nil {
 		t.Fatal("retrain with no records succeeded")
 	}

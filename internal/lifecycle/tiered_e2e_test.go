@@ -22,12 +22,12 @@ func TestTieredDriftE2E(t *testing.T) {
 	recs, _, strong := fixtures(t)
 	router := tiered.New(tiered.Options{ShadowEvery: 1 << 30})
 	router.Rebuild(recs, core.DefaultConfig().Tokenize)
-	m := New(strong, Options{
+	m := openParser(t, strong, Options{
 		Tiered:      router,
 		SampleEvery: 1, Window: 8, MinWindow: 4,
 		ConfidenceFloor: 0.5,
 	})
-	fn := m.ParseFunc()
+	fn := m.Parse
 
 	// Find a registrar whose clean records the fast path serves.
 	var clean *labels.LabeledRecord
@@ -84,7 +84,7 @@ func TestTieredDriftE2E(t *testing.T) {
 		Blocks:    []labels.Block{labels.Registrar, labels.Null},
 	}
 	for i := 0; i < 8; i++ {
-		m.observe(m.Current(), sick, mutated, 0.1)
+		m.observe(m.Current(), sick, 0.1)
 	}
 	close(stop)
 	wg.Wait()
@@ -124,10 +124,13 @@ func TestRetrainRebuildsTemplates(t *testing.T) {
 	router.Rebuild(recs[:60], core.DefaultConfig().Tokenize)
 	before := router.Status().Templates
 
-	m := New(weak, Options{
+	m, err := Open(seedRegistry(t, weak, "default").Root(), "", Options{
 		Tiered:  router,
 		Holdout: recs[300:360],
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Demote something so the rebuild's re-arm is observable.
 	var reg string
 	for _, rec := range recs[:60] {

@@ -68,7 +68,7 @@ func TestPromotionUnderLoad(t *testing.T) {
 		}
 	}
 
-	mgr, err := lifecycle.NewFromRegistry(reg, fam, lifecycle.Options{})
+	mgr, err := lifecycle.Open(reg.Root(), fam, lifecycle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPromotionUnderLoad(t *testing.T) {
 	settle()
 
 	// Publish the successor and walk it through the state machine while
-	// traffic flows; the daemon converges via ReloadServing after the
+	// traffic flows; the daemon converges via Reload after the
 	// serving arrow, exactly as the SIGHUP / admin path does.
 	m2, err := reg.Publish(modelreg.PublishRequest{
 		Family: fam, Parent: m1.Version, ArtifactPath: artB,
@@ -138,13 +138,13 @@ func TestPromotionUnderLoad(t *testing.T) {
 	if _, err := reg.Promote(fam, m2.Version); err != nil { // -> shadow
 		t.Fatal(err)
 	}
-	if _, changed, err := mgr.ReloadServing(); err != nil || changed {
+	if _, changed, err := mgr.Reload(); err != nil || changed {
 		t.Fatalf("shadow promote must not move serving: changed=%v err=%v", changed, err)
 	}
 	if _, err := reg.Promote(fam, m2.Version); err != nil { // -> serving
 		t.Fatal(err)
 	}
-	snap, changed, err := mgr.ReloadServing()
+	snap, changed, err := mgr.Reload()
 	if err != nil || !changed {
 		t.Fatalf("serving promote did not swap: changed=%v err=%v", changed, err)
 	}
@@ -164,7 +164,7 @@ func TestPromotionUnderLoad(t *testing.T) {
 	if err := reg.Rollback(fam, m1.Version); err != nil {
 		t.Fatal(err)
 	}
-	snap, changed, err = mgr.ReloadServing()
+	snap, changed, err = mgr.Reload()
 	if err != nil || !changed {
 		t.Fatalf("rollback did not swap: changed=%v err=%v", changed, err)
 	}

@@ -405,10 +405,11 @@ func (s *Server) worker() {
 			delete(sh.inflight, c.k)
 		}
 		sh.mu.Unlock()
-		close(c.done)
-
+		// Account before waking the waiters, so a caller that returns
+		// from its parse already sees it counted.
 		s.m.parsed.Inc()
 		s.m.inFlight.Add(-1)
+		close(c.done)
 	}
 }
 

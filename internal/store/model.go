@@ -65,10 +65,6 @@ func (mi ModelInfo) String() string {
 		mi.FormatVersion, mi.CRC32C, mi.BlockFeatures, mi.FieldFeatures)
 }
 
-// IsZero reports whether the info carries no artifact identity (the
-// model never hit disk).
-func (mi ModelInfo) IsZero() bool { return mi == ModelInfo{} }
-
 // parseModelHeader validates a WMDL header and extracts the identity.
 func parseModelHeader(hdr []byte) (ModelInfo, error) {
 	if len(hdr) < modelHeaderLen {
@@ -107,48 +103,50 @@ func StatModel(path string) (ModelInfo, error) {
 	return parseModelHeader(hdr)
 }
 
-// StatModelBytes is StatModel over an in-memory artifact — the cluster
-// model-distribution path inspects fetched bytes before the (much more
-// expensive) full decode. The payload CRC is NOT verified here; that is
-// ReadModel's job.
-func StatModelBytes(data []byte) (ModelInfo, error) {
-	return parseModelHeader(data)
+// EncodeModel serializes the trained parser into the versioned artifact
+// format: header (magic, format version, both feature dimensions,
+// payload CRC32C and length) followed by the payload. It is the one
+// encoder every artifact goes through — SaveModel writes its bytes to
+// disk, a retrain publishes them straight into the model registry, and
+// a daemon that trains at startup opens its model from them.
+func EncodeModel(p *core.Parser) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, modelHeaderLen))
+	if _, err := p.WriteTo(&buf); err != nil {
+		return nil, fmt.Errorf("store: encode model: %w", err)
+	}
+	data := buf.Bytes()
+	payload := data[modelHeaderLen:]
+	var fieldDim uint64
+	if p.FieldModel() != nil {
+		fieldDim = uint64(p.FieldModel().NumFeatures())
+	}
+	hdr := data[:modelHeaderLen]
+	copy(hdr, modelMagic[:])
+	binary.LittleEndian.PutUint16(hdr[4:], modelVersion)
+	binary.LittleEndian.PutUint64(hdr[6:], uint64(p.BlockModel().NumFeatures()))
+	binary.LittleEndian.PutUint64(hdr[14:], fieldDim)
+	binary.LittleEndian.PutUint32(hdr[22:], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint64(hdr[26:], uint64(len(payload)))
+	return data, nil
 }
 
 // SaveModel writes the trained parser to path in the versioned artifact
 // format, via a temp file + rename so a crash never leaves a torn model
 // where a good one stood.
 func SaveModel(p *core.Parser, path string) error {
-	var payload bytes.Buffer
-	if _, err := p.WriteTo(&payload); err != nil {
-		return fmt.Errorf("store: save model: %w", err)
+	data, err := EncodeModel(p)
+	if err != nil {
+		return err
 	}
-	var blockDim, fieldDim uint64
-	blockDim = uint64(p.BlockModel().NumFeatures())
-	if p.FieldModel() != nil {
-		fieldDim = uint64(p.FieldModel().NumFeatures())
-	}
-
-	hdr := make([]byte, modelHeaderLen)
-	copy(hdr, modelMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:], modelVersion)
-	binary.LittleEndian.PutUint64(hdr[6:], blockDim)
-	binary.LittleEndian.PutUint64(hdr[14:], fieldDim)
-	binary.LittleEndian.PutUint32(hdr[22:], crc32.Checksum(payload.Bytes(), castagnoli))
-	binary.LittleEndian.PutUint64(hdr[26:], uint64(payload.Len()))
-
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: save model: %w", err)
 	}
-	if _, err := f.Write(hdr); err == nil {
-		_, err = f.Write(payload.Bytes())
-		if err == nil {
-			err = f.Sync()
-		}
-	} else {
-		err = fmt.Errorf("write header: %w", err)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -180,7 +178,7 @@ func LoadModel(path string) (*core.Parser, error) {
 // ReadModel is LoadModel over a stream. Header validation (magic,
 // format version) is the same parseModelHeader every other consumer —
 // StatModel, VerifyModel, the registry — runs, so "what counts as a
-// WMDL" cannot drift between the legacy load path and the registry.
+// WMDL" cannot drift between the load path and the registry.
 func ReadModel(r io.Reader) (*core.Parser, error) {
 	hdr := make([]byte, modelHeaderLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -270,21 +268,4 @@ func verifyModelStream(r io.Reader) (ModelInfo, error) {
 		return info, ErrModelChecksum
 	}
 	return info, nil
-}
-
-// IsModelArtifact sniffs whether path starts with the versioned-artifact
-// magic — the compatibility shim that lets whoisparse.Load fall back to
-// the legacy bare-gob format for models saved before this container
-// existed.
-func IsModelArtifact(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false
-	}
-	return m == modelMagic
 }

@@ -36,8 +36,17 @@ func TestModelRoundTrip(t *testing.T) {
 	if err := SaveModel(p, path); err != nil {
 		t.Fatal(err)
 	}
-	if !IsModelArtifact(path) {
-		t.Fatal("saved artifact does not sniff as one")
+	// SaveModel writes exactly the bytes EncodeModel produces.
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded, err := EncodeModel(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(onDisk, encoded) {
+		t.Fatal("SaveModel bytes differ from EncodeModel")
 	}
 	p2, err := LoadModel(path)
 	if err != nil {
@@ -107,8 +116,8 @@ func TestModelRejectsCorruption(t *testing.T) {
 }
 
 func TestModelLegacySniff(t *testing.T) {
-	// A legacy bare-gob model file must not sniff as an artifact, so the
-	// Load fallback path picks the right decoder.
+	// A legacy bare-gob model file is not an artifact: loading it fails
+	// with ErrNotModel rather than decoding weights nobody can verify.
 	p := getParser(t)
 	path := filepath.Join(t.TempDir(), "legacy.model")
 	f, err := os.Create(path)
@@ -120,9 +129,6 @@ func TestModelLegacySniff(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if IsModelArtifact(path) {
-		t.Fatal("bare gob sniffed as versioned artifact")
 	}
 	if _, err := LoadModel(path); !errors.Is(err, ErrNotModel) {
 		t.Fatalf("LoadModel on legacy gob: err = %v, want ErrNotModel", err)
@@ -162,7 +168,7 @@ func TestStatModelMatchesArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.IsZero() {
+	if info == (ModelInfo{}) {
 		t.Fatal("StatModel returned zero identity for a real artifact")
 	}
 	if info.FormatVersion != modelVersion {

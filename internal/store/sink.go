@@ -11,17 +11,13 @@ import (
 type SinkOptions struct {
 	// Parse, when non-nil, runs the statistical parser over each thick
 	// record before persisting; nil stores the raw text with thin-record
-	// facts only (domain + registrar), to be parsed later.
+	// facts only (domain + registrar), to be parsed later. The model
+	// version Parse stamps on a record carries into its facts, so later
+	// drift analysis can segment the corpus by the model that parsed it.
 	Parse func(text string) *core.ParsedRecord
 	// Blacklist, when non-nil, supplies the DBL membership bit for the
 	// derived facts.
 	Blacklist func(domain string) bool
-	// ModelVersion identifies the parser behind Parse (the WMDL
-	// envelope's version/CRC, e.g. "wmdl v1 crc32c=9a1b2c3d" or a
-	// lifecycle version string). It is stamped into every appended
-	// record's facts so later drift analysis can segment the corpus by
-	// the model that parsed it. Ignored when Parse is nil.
-	ModelVersion string
 	// CheckpointEvery fsyncs the store after every N records (<= 0
 	// means 256) — the checkpoint cadence that bounds how much a crash
 	// can lose to the unsynced tail.
@@ -61,9 +57,6 @@ func (k *Sink) Put(domain, registrar, text string) error {
 		rec.Parsed = k.opts.Parse(text)
 		rec.Facts = survey.FactsFrom(rec.Parsed, blacklisted)
 		rec.Facts.Domain = domain
-		if k.opts.ModelVersion != "" {
-			rec.Facts.ModelVersion = k.opts.ModelVersion
-		}
 	} else {
 		rec.Facts = survey.Facts{Domain: domain, Blacklisted: blacklisted}
 	}

@@ -458,10 +458,7 @@ func (s *Store) rotateLocked() error {
 	// The previous active segment is now sealed: tell the seal hook (the
 	// query engine builds sidecar indexes off it) and, under
 	// Options.Compress, rewrite it into block frames in the background.
-	if fn := s.onSeal; fn != nil {
-		sealedID := last.id
-		go fn(sealedID)
-	}
+	s.sealedLocked(last.id)
 	if s.opts.Compress && !s.compactBusy {
 		s.compactWG.Add(1)
 		go func() {
@@ -487,11 +484,26 @@ func (s *Store) rotateLocked() error {
 // or a sealed segment's bytes are rewritten in place by compaction or
 // compression. Derived artifacts keyed to a segment's content (the query
 // engine's zone maps and secondary indexes) hang off this hook to stay
-// fresh without polling.
+// fresh without polling. The store owns those goroutines: Close waits
+// for every running hook before it returns.
 func (s *Store) SetOnSeal(fn func(id uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onSeal = fn
+}
+
+// sealedLocked runs the seal hook for segment id in a goroutine that
+// Close joins. Callers hold s.mu.
+func (s *Store) sealedLocked(id uint64) {
+	fn := s.onSeal
+	if fn == nil {
+		return
+	}
+	s.compactWG.Add(1)
+	go func() {
+		defer s.compactWG.Done()
+		fn(id)
+	}()
 }
 
 // Dir reports the store's directory — sidecar artifacts (zone maps,
@@ -520,8 +532,8 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
-// Close syncs and closes the store. Any background compaction finishes
-// first.
+// Close syncs and closes the store. Any background compaction and any
+// running seal hook finish first.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {

@@ -523,27 +523,27 @@ func TestAppendAfterCloseFails(t *testing.T) {
 // the parsed record, and unstamped records keep the pre-stamp layout.
 func TestRecordRoundTripModelVersion(t *testing.T) {
 	stamped := testRecord(3)
-	stamped.Facts.ModelVersion = "m2-9a1b2c3d"
+	stamped.Facts.ModelVersion = "default/1.0.0+9a1b2c3d"
 	payload := appendRecord(nil, stamped)
 	got, err := decodeRecord(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Facts.ModelVersion != "m2-9a1b2c3d" {
+	if got.Facts.ModelVersion != "default/1.0.0+9a1b2c3d" {
 		t.Errorf("Facts.ModelVersion = %q after round trip", got.Facts.ModelVersion)
 	}
-	if got.Parsed == nil || got.Parsed.ModelVersion != "m2-9a1b2c3d" {
+	if got.Parsed == nil || got.Parsed.ModelVersion != "default/1.0.0+9a1b2c3d" {
 		t.Error("decoded parsed record not stamped with the facts' model version")
 	}
 
 	// A parsed-record stamp with unstamped facts must also survive.
 	viaParsed := testRecord(4)
-	viaParsed.Parsed.ModelVersion = "m7"
+	viaParsed.Parsed.ModelVersion = "default/0.0.0+00000007"
 	got, err = decodeRecord(appendRecord(nil, viaParsed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Facts.ModelVersion != "m7" || got.Parsed.ModelVersion != "m7" {
+	if got.Facts.ModelVersion != "default/0.0.0+00000007" || got.Parsed.ModelVersion != "default/0.0.0+00000007" {
 		t.Errorf("parsed-record stamp lost: facts=%q parsed=%q",
 			got.Facts.ModelVersion, got.Parsed.ModelVersion)
 	}
@@ -567,7 +567,7 @@ func TestRecordRoundTripModelVersion(t *testing.T) {
 
 // TestSinkStampsModelVersion checks the crawl-sink satellite: when a
 // model parses records on the way into the store, every appended record
-// carries the model's version in its facts.
+// carries the version the model stamped in its facts.
 func TestSinkStampsModelVersion(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -575,8 +575,9 @@ func TestSinkStampsModelVersion(t *testing.T) {
 	}
 	defer st.Close()
 	sink := NewSink(st, SinkOptions{
-		Parse:        func(text string) *core.ParsedRecord { return &core.ParsedRecord{DomainName: "stamp.com"} },
-		ModelVersion: "wmdl v1 crc32c=deadbeef",
+		Parse: func(text string) *core.ParsedRecord {
+			return &core.ParsedRecord{DomainName: "stamp.com", ModelVersion: "default/1.0.0+deadbeef"}
+		},
 	})
 	if err := sink.Put("stamp.com", "Reg", "Domain Name: stamp.com\n"); err != nil {
 		t.Fatal(err)
@@ -590,7 +591,7 @@ func TestSinkStampsModelVersion(t *testing.T) {
 		t.Fatalf("no record in store: %v", it.Err())
 	}
 	rec := it.Record()
-	if rec.Facts.ModelVersion != "wmdl v1 crc32c=deadbeef" {
+	if rec.Facts.ModelVersion != "default/1.0.0+deadbeef" {
 		t.Errorf("Facts.ModelVersion = %q", rec.Facts.ModelVersion)
 	}
 }

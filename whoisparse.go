@@ -28,9 +28,7 @@
 package whoisparse
 
 import (
-	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/labels"
@@ -101,24 +99,12 @@ func Save(p *Parser, path string) error {
 	return store.SaveModel(p, path)
 }
 
-// Load reads a parser written by Save. Versioned artifacts are verified
-// (magic, version, checksum, dimensions) before deserializing; files
-// from the pre-artifact era — bare parser gobs — still load via a
-// legacy fallback path.
+// Load reads a parser written by Save, verifying the magic, format
+// version, checksum, and feature dimensions before deserializing. A
+// file that is not a versioned artifact fails with store.ErrNotModel.
 func Load(path string) (*Parser, error) {
-	if store.IsModelArtifact(path) {
-		return store.LoadModel(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("whoisparse: load: %w", err)
-	}
-	defer f.Close()
-	return core.Read(f)
+	return store.LoadModel(path)
 }
-
-// ReadParser reads a parser from a stream.
-func ReadParser(r io.Reader) (*Parser, error) { return core.Read(r) }
 
 // ReadLabeled parses labeled records from the sectioned text format.
 func ReadLabeled(r io.Reader) ([]*LabeledRecord, error) { return labels.ReadRecords(r) }
