@@ -62,7 +62,7 @@ func main() {
 	parseWorkers := flag.Int("parse-workers", 0, "parse worker pool size (0 = GOMAXPROCS)")
 	parseQueue := flag.Int("parse-queue", 0, "admission queue depth (0 = 8x workers); overflow answers 503")
 	parseCache := flag.Int("parse-cache", 4096, "parsed-record cache capacity (negative disables)")
-	storeDir := flag.String("store", "", "with -parse, open this record store for the daemon's lifetime: warm-start the parse cache from its newest segment and serve predicated queries at /admin/query on -debug-addr")
+	storeDir := flag.String("store", "", "open this record store for the daemon's lifetime: serve predicated queries at /admin/query on -debug-addr and, with -parse, warm-start the parse cache from its newest segment")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof and the /admin endpoints on this address (empty disables)")
 	tieredMode := flag.Bool("tiered", false,
 		"serve /parsed/ through the L0 compiled-template fast path with CRF fallback (status at /admin/tiered)")
@@ -73,7 +73,7 @@ func main() {
 	peersFlag := flag.String("peers", "",
 		"comma-separated peer shards, each id=addr (or a bare addr, doubling as the id)")
 	clusterJoin := flag.String("cluster-join", "",
-		"fetch the serving model from the shard at this address (verified by CRC32C) before admitting traffic")
+		"fetch the serving model from the shard at this address (verified by CRC32C) before admitting traffic; SIGHUP or POST /admin/reload later swaps back to -model only if its bytes differ from the fleet's")
 	flag.Parse()
 
 	// One registry shared by every layer: the RDAP handler, the
@@ -89,10 +89,12 @@ func main() {
 	// (every response stamped with the model that produced it,
 	// hot-swapped on SIGHUP or POST /admin/reload), the optional L0
 	// router, the serving cache and worker pool, the optional store
-	// with warm start, and the optional cluster node.
+	// with warm start, and the optional cluster node. Without -parse,
+	// -store still opens the record store and its query engine.
 	var st *stack.Stack
-	if *parseMode {
-		var err error
+	var err error
+	switch {
+	case *parseMode:
 		st, err = stack.Open(stack.Config{
 			Model:  *model,
 			Family: *modelFamily,
@@ -113,10 +115,16 @@ func main() {
 			Metrics: reg,
 			Log:     log.Default(),
 		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	case *storeDir != "":
+		st, err = stack.OpenStore(*storeDir, reg, log.Default())
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st != nil {
 		defer st.Close() // drain in-flight parses after the listener stops
+	}
+	if *parseMode {
 		if st.Node != nil {
 			srv.EnableParsedBackend(st.Node, domains)
 		} else {
@@ -156,7 +164,8 @@ func main() {
 // debugMux is the -debug-addr surface: /debug/vars and /debug/pprof,
 // the stack's /admin endpoints (model, registry, tiered, cluster), and
 // — over the stack — /admin/query and the /admin/consistency
-// self-audit. st may be nil (-parse=false).
+// self-audit. st is nil with -parse=false and no -store, and has only
+// the store and query engine with -parse=false -store.
 func debugMux(reg *obs.Registry, st *stack.Stack, domains []*synth.Domain) *http.ServeMux {
 	mux := obs.DebugMux(reg)
 	if st == nil {
@@ -166,9 +175,11 @@ func debugMux(reg *obs.Registry, st *stack.Stack, domains []*synth.Domain) *http
 	if st.Query != nil {
 		mux.HandleFunc("/admin/query", adminQuery(st.Query))
 	}
-	// The audit parses with the live model on every call, so an audit
-	// after a hot swap scores the model actually serving.
-	mux.HandleFunc("/admin/consistency", adminConsistency(domains, st.Model.Parse))
+	if st.Model != nil {
+		// The audit parses with the live model on every call, so an
+		// audit after a hot swap scores the model actually serving.
+		mux.HandleFunc("/admin/consistency", adminConsistency(domains, st.Model.Parse))
+	}
 	return mux
 }
 

@@ -202,3 +202,46 @@ func TestAdminReloadServingAndModels(t *testing.T) {
 		t.Fatalf("stages = %v", stages)
 	}
 }
+
+// TestStoreWithoutParse is rdapd -parse=false -store DIR: the debug mux
+// answers /admin/query over the store and mounts no model endpoints.
+func TestStoreWithoutParse(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range synth.Generate(synth.Config{N: 30, Seed: 5}) {
+		rec := &store.Record{Domain: d.Reg.Domain, Text: d.Render().Text}
+		rec.Facts.Registrar, rec.Facts.CreatedYear = d.Reg.RegistrarName, d.Reg.Created.Year()
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := stack.OpenStore(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mux := debugMux(obs.NewRegistry(), s, nil)
+
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/query?since=1900", nil))
+	var body struct{ Matched int }
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); rr.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /admin/query = %d: %s", rr.Code, rr.Body.String())
+	}
+	if body.Matched != 30 {
+		t.Fatalf("matched %d records, want 30", body.Matched)
+	}
+	for _, path := range []string{"/admin/model", "/admin/consistency"} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		if rr.Code != http.StatusNotFound {
+			t.Fatalf("GET %s without a parse stack = %d, want 404", path, rr.Code)
+		}
+	}
+}

@@ -500,48 +500,52 @@ func (n *Node) ModelArtifact() (Artifact, error) {
 // sender's identity: through the lifecycle manager when one is
 // attached (cache generation bumps atomically with the parse
 // function), directly onto the serve layer otherwise. Either way the
-// records are stamped "<family>/<semver>+<crc32c>". The node's
-// remote-result cache is invalidated in the same step — its entries
-// were produced by peers that are swapping on their own stagger.
-// Applying the version the node already serves changes nothing but
-// readiness; verification failure leaves the old model serving.
+// records are stamped "<family>/<semver>+<crc32c>". Applying the
+// version the node already serves leaves its model and serving cache
+// alone; verification failure leaves the old model serving. Every
+// successful apply invalidates the node's remote-result cache: its
+// entries were produced by peers that are swapping on their own
+// stagger, and a rollout's origin has reloaded before its own apply.
 func (n *Node) ApplyModel(a Artifact) (string, error) {
-	var version string
+	version, changed, err := n.applyLocal(a)
+	if err != nil {
+		return "", err
+	}
+	n.remoteGen.Add(1) // orphan remote-result entries from the old fleet state
+	n.ready.Store(true)
+	if changed {
+		n.met.applies.Inc()
+		n.log.Info("model applied", "version", version, "bytes", len(a.Data))
+	}
+	return version, nil
+}
+
+// applyLocal swaps a into the local serving layer unless its version
+// is already serving there.
+func (n *Node) applyLocal(a Artifact) (string, bool, error) {
 	if n.mgr != nil {
 		snap, changed, err := n.mgr.Apply(a.Data, a.Family, a.SemVer)
 		if err != nil {
-			return "", err
+			return "", false, err
 		}
-		if version = snap.Version; !changed {
-			n.ready.Store(true)
-			return version, nil
-		}
-	} else {
-		v, err := lifecycle.Identify(a.Data, a.Family, a.SemVer)
-		if err != nil {
-			return "", err
-		}
-		if version = v; version == *n.version.Load() {
-			n.ready.Store(true)
-			return version, nil
-		}
-		p, err := store.ReadModel(bytes.NewReader(a.Data))
-		if err != nil {
-			return "", err
-		}
-		n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
-			rec := p.Parse(text)
-			rec.ModelVersion = v
-			return rec
-		})
-		n.version.Store(&version)
-		n.artifact.Store(&a)
+		return snap.Version, changed, nil
 	}
-	n.remoteGen.Add(1) // orphan remote-result entries from the old fleet state
-	n.met.applies.Inc()
-	n.ready.Store(true)
-	n.log.Info("model applied", "version", version, "bytes", len(a.Data))
-	return version, nil
+	version, err := lifecycle.Identify(a.Data, a.Family, a.SemVer)
+	if err != nil || version == *n.version.Load() {
+		return version, false, err
+	}
+	p, err := store.ReadModel(bytes.NewReader(a.Data))
+	if err != nil {
+		return "", false, err
+	}
+	n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
+		rec := p.Parse(text)
+		rec.ModelVersion = version
+		return rec
+	})
+	n.version.Store(&version)
+	n.artifact.Store(&a)
+	return version, true, nil
 }
 
 // Status implements Backend.
@@ -638,6 +642,9 @@ func (n *Node) Rollout(ctx context.Context, a Artifact, stagger time.Duration) (
 			rep.Version = version
 		}
 	}
+	// Answers forwarded to members that had not swapped yet were cached
+	// after this node's own apply; orphan them too.
+	n.remoteGen.Add(1)
 	if len(rep.Failed) == 0 {
 		rep.Failed = nil
 	}

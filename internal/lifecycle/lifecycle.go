@@ -484,7 +484,8 @@ func (m *Manager) Flagged() []string {
 // re-resolves the family's serving pointer (a promote by another
 // process becomes visible); a bare file is re-read from disk. When the
 // source still names the version already serving, nothing swaps and
-// changed is false, so redundant reloads are free. The artifact is
+// changed is false, so redundant reloads are free; so does a bare file
+// holding the bytes already serving. The artifact is
 // fully verified before anything is published: a corrupt source leaves
 // the old model serving. A manager built by OpenBytes has no source and
 // reports the current snapshot unchanged.
@@ -520,14 +521,17 @@ func (m *Manager) Apply(data []byte, family, semver string) (snap *Snapshot, cha
 }
 
 // install verifies data, and decodes and publishes it unless its
-// version is already serving.
+// version is already serving. A bare file (a path outside a registry)
+// that still holds the bytes serving changes nothing even under another
+// name, so a cluster joiner keeps the fleet's name for the artifact it
+// fetched across reloads.
 func (m *Manager) install(data []byte, family, semver, path string) (*Snapshot, bool, error) {
 	a, err := verifyArtifact(data, family, semver, path)
 	if err != nil {
 		return nil, false, err
 	}
 	cur := m.cur.Load()
-	if cur != nil && cur.Version == a.Version {
+	if cur != nil && (cur.Version == a.Version || path != "" && m.reg == nil && cur.Info.CRC32C == a.Info.CRC32C) {
 		return cur, false, nil
 	}
 	p, err := store.ReadModel(bytes.NewReader(a.Artifact))

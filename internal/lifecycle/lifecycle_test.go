@@ -276,6 +276,43 @@ func TestOpenFileAndReload(t *testing.T) {
 	}
 }
 
+// TestReloadKeepsAppliedNameForSameBytes is a cluster joiner started on
+// a bare file: after it applies the fleet's artifact, a reload of a file
+// holding the same bytes keeps the fleet's name, and one holding other
+// bytes swaps back to the file.
+func TestReloadKeepsAppliedNameForSameBytes(t *testing.T) {
+	_, weak, strong := fixtures(t)
+	path := filepath.Join(t.TempDir(), "parser.wmdl")
+	if err := store.SaveModel(weak, path); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(path, "", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, changed, err := m.Apply(data, "", "1.0.0")
+	if err != nil || !changed || fleet.Version != stamp(t, data, "1.0.0") {
+		t.Fatalf("apply under the fleet name: %v changed=%v err=%v", fleet, changed, err)
+	}
+	if s, changed, err := m.Reload(); err != nil || changed || s != fleet {
+		t.Fatalf("reload of the same bytes: %s changed=%v err=%v", s.Version, changed, err)
+	}
+	if err := store.SaveModel(strong, path); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	s, changed, err := m.Reload()
+	if want := stamp(t, data, ImplicitVersion); err != nil || !changed || s.Version != want {
+		t.Fatalf("reload of other bytes: %s changed=%v err=%v, want %s", s.Version, changed, err, want)
+	}
+}
+
 // TestHotSwapUnderLoad is the end-to-end acceptance test: goroutines
 // hammer a serving layer while the manager hot-reloads models
 // underneath them. Every response must be attributable to exactly one

@@ -19,7 +19,12 @@ import (
 //	POST /admin/model/rollback  ?version=V[&family=F] serving pointer back
 //	GET  /admin/tiered          L0 template and tier counters (Tiered)
 //	GET  /admin/cluster         ring ownership and a live peer poll (Cluster)
+//
+// A stack from OpenStore has none of them.
 func (s *Stack) AdminHandlers(mux *http.ServeMux) {
+	if s.Model == nil {
+		return
+	}
 	mux.HandleFunc("/admin/reload", s.adminReload)
 	mux.HandleFunc("/admin/model", func(w http.ResponseWriter, r *http.Request) {
 		snap := s.Model.Current()

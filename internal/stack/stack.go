@@ -143,14 +143,8 @@ func OpenModel(path, family string, seed int64, opts lifecycle.Options) (*lifecy
 // Open assembles the stack cfg describes. On error everything already
 // built is torn down again.
 func Open(cfg Config) (_ *Stack, err error) {
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.Log == nil {
-		cfg.Log = log.New(io.Discard, "", 0)
-	}
-	reg, w := cfg.Metrics, cfg.Log.Writer()
-	s := &Stack{Metrics: reg, log: cfg.Log}
+	s := newStack(cfg.Metrics, cfg.Log)
+	reg, w := s.Metrics, s.log.Writer()
 	defer func() {
 		if err != nil {
 			s.Close()
@@ -192,9 +186,33 @@ func Open(cfg Config) (_ *Stack, err error) {
 	return s, nil
 }
 
+// OpenStore assembles only the record store in dir and its query
+// engine — the stack of a daemon that serves no parses. Close joins
+// its background sidecar builds. Nil metrics or logger mean a private
+// registry and a discarded log.
+func OpenStore(dir string, metrics *obs.Registry, logger *log.Logger) (*Stack, error) {
+	s := newStack(metrics, logger)
+	if err := s.openStore(dir); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+func newStack(metrics *obs.Registry, logger *log.Logger) *Stack {
+	if metrics == nil {
+		metrics = obs.NewRegistry()
+	}
+	if logger == nil {
+		logger = log.New(io.Discard, "", 0)
+	}
+	return &Stack{Metrics: metrics, log: logger}
+}
+
 // openStore opens the record store and its query engine, derives
 // sidecars in the background (AutoBuild on every seal, plus one
-// BuildAll over what is already there), and warm-starts the cache.
+// BuildAll over what is already there), and warm-starts the serving
+// cache when there is one.
 func (s *Stack) openStore(dir string) error {
 	var err error
 	if s.Store, err = store.Open(dir, store.Options{Metrics: s.Metrics}); err != nil {
@@ -211,6 +229,9 @@ func (s *Stack) openStore(dir string) error {
 			s.log.Printf("query: built sidecars for %d segments", built)
 		}
 	}()
+	if s.Serve == nil {
+		return nil
+	}
 	version := s.Model.Current().Version
 	n, err := warmStart(s.Serve, s.Store, version)
 	if err != nil {

@@ -173,7 +173,9 @@ func TestModelSourcesShareOneName(t *testing.T) {
 // TestClusteredPromoteStampsOnce drives a registry promote through the
 // admin endpoint on the origin of a two-node cluster: both nodes must
 // end up stamping the registry's canonical name, and the origin's cache
-// must be invalidated exactly once — its own rollout apply is a no-op.
+// must be invalidated exactly once — its own rollout apply is a no-op —
+// while the answers it cached from the peer before the promote are
+// dropped.
 func TestClusteredPromoteStampsOnce(t *testing.T) {
 	recs, fileA, fileB := models(t)
 	reg := registry(t, fileA, fileB)
@@ -189,6 +191,18 @@ func TestClusteredPromoteStampsOnce(t *testing.T) {
 	v1 := canonical(t, fileA, "1.0.0")
 	if got := peer.Model.Current().Version; got != v1 {
 		t.Fatalf("joined peer serves %q, want %q", got, v1)
+	}
+	// Forward the peer's domains through the origin before the promote,
+	// so its remote-result cache holds v1 answers the promote must drop.
+	ctx := context.Background()
+	sample := recs[:16]
+	for _, r := range sample {
+		if _, err := origin.Node.ParseDomain(ctx, r.Domain, r.Text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if origin.Metrics.Counter("cluster.forwards").Value() == 0 {
+		t.Fatal("no sample domain is owned by the peer")
 	}
 
 	mux := http.NewServeMux()
@@ -212,7 +226,6 @@ func TestClusteredPromoteStampsOnce(t *testing.T) {
 	}
 
 	v2 := canonical(t, fileB, "1.1.0")
-	ctx := context.Background()
 	for _, s := range []*Stack{origin, peer} {
 		if got := s.Model.Current().Version; got != v2 {
 			t.Fatalf("%s serves %q, want %q", s.Node.ID(), got, v2)
@@ -221,7 +234,7 @@ func TestClusteredPromoteStampsOnce(t *testing.T) {
 			t.Fatalf("%s status %q, want %q", s.Node.ID(), got, v2)
 		}
 		// Whichever node owns the domain, the answer carries v2.
-		for _, r := range recs[:8] {
+		for _, r := range sample {
 			rec, err := s.Node.ParseDomain(ctx, r.Domain, r.Text)
 			if err != nil {
 				t.Fatal(err)
