@@ -30,7 +30,7 @@ COVER_PKGS = repro/internal/serve repro/internal/obs repro/internal/store repro/
 QUERYDIFF_N ?= 2000
 QUERYDIFF_SEED ?= $(shell date +%Y%m%d)
 
-.PHONY: verify vet build test race bench-serve bench-tiered lint importcheck benchcheck cover fuzz-smoke query-diff model-verify
+.PHONY: verify vet build test race race-stress bench-serve bench-tiered lint importcheck benchcheck cover fuzz-smoke query-diff model-verify
 
 verify: vet build test race
 
@@ -45,6 +45,16 @@ test:
 
 race:
 	$(GO) test -race ./internal/serve/... ./internal/whoisd/... ./internal/rdap/... ./internal/obs/... ./internal/crawler/... ./internal/store/... ./internal/lifecycle/... ./internal/tiered/... ./internal/cluster/... ./internal/query/... ./internal/consistency/... ./internal/modelreg/... ./internal/stack/...
+
+# race-stress: the start/stop and swap tests of the concurrent
+# packages, 20 times each under the race detector — the tests that
+# have failed intermittently before (close joins, hot swaps, reloads,
+# rollouts, joins, promotes, sidecar auto-builds, drains). Not part of
+# verify; CI runs it as its own job.
+RACE_STRESS_RUN = Close|Swap|Reload|Rollout|Join|Promote|AutoBuild|Drain
+
+race-stress:
+	$(GO) test -race -count 20 -run '$(RACE_STRESS_RUN)' ./internal/serve ./internal/store ./internal/query ./internal/lifecycle ./internal/cluster ./internal/stack
 
 bench-serve:
 	$(GO) test -run xxx -bench 'BenchmarkServe|BenchmarkParseDirect' -benchtime 1000x ./internal/serve/

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/synth"
@@ -15,8 +16,9 @@ import (
 
 // Shared fixtures, built once per test binary: two small trained
 // parsers saved as distinct WMDL artifacts (model distribution and
-// rollout tests need real, CRC-verifiable bytes; everything else runs
-// on fake parse functions).
+// rollout tests need real, CRC-verifiable bytes served by a lifecycle
+// manager; everything else runs routing-only nodes over fake parse
+// functions).
 var (
 	artOnce      sync.Once
 	artA, artB   []byte
@@ -67,18 +69,38 @@ func parsers(t testing.TB) (*core.Parser, *core.Parser) {
 	return artAP, artBP
 }
 
-// testNode builds a node over a fake parse function. LoadFactor -1
-// disables bounded-load rerouting so ownership assertions are
-// deterministic.
+// testNode builds a routing-only node (no lifecycle manager) over a
+// fake parse function. LoadFactor -1 disables bounded-load rerouting so
+// ownership assertions are deterministic.
 func testNode(t testing.TB, id string, fn serve.ParseFunc, opts Options) *Node {
 	t.Helper()
-	ps := serve.NewFunc(fn, serve.Options{Workers: 2})
+	return newTestNode(t, id, serve.NewFunc(fn, serve.Options{Workers: 2}), nil, opts)
+}
+
+// modelNode builds a node the way the daemons do: its lifecycle manager
+// owns the model, here art served under art's family and semver.
+func modelNode(t testing.TB, id string, art Artifact, opts Options) *Node {
+	t.Helper()
+	mgr, err := lifecycle.OpenBytes(art.Data, art.Family, lifecycle.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := mgr.Apply(art.Data, art.Family, art.SemVer); err != nil {
+		t.Fatal(err)
+	}
+	ps := serve.NewFunc(mgr.Parse, serve.Options{Workers: 2})
+	mgr.Attach(ps)
+	return newTestNode(t, id, ps, mgr, opts)
+}
+
+func newTestNode(t testing.TB, id string, ps *serve.Server, mgr *lifecycle.Manager, opts Options) *Node {
+	t.Helper()
 	t.Cleanup(func() { ps.Close() })
 	opts.ID = id
 	if opts.Ring.LoadFactor == 0 {
 		opts.Ring.LoadFactor = -1
 	}
-	n, err := NewNode(ps, nil, opts)
+	n, err := NewNode(ps, mgr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

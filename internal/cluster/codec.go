@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/tokenize"
 )
 
 // Wire format (DESIGN.md §5g). Every message — request or response —
@@ -24,7 +25,9 @@ import (
 // response payload is a status byte followed by status-specific fields.
 // Parsed records reuse the store's bounds-checked record codec
 // (store.EncodeRecord/DecodeRecord), so the shard protocol and the
-// persistence layer cannot drift apart on what a record is.
+// persistence layer cannot drift apart on what a record is. That codec
+// keeps each line's Raw text only; the decoder re-derives titles and
+// values (tokenize.Resplit).
 //
 //	opParse      : domain string | text string
 //	opFetchModel : (empty)
@@ -239,6 +242,7 @@ func decodeRecordResp(body []byte) (*core.ParsedRecord, error) {
 	if rec.Parsed == nil {
 		return nil, fmt.Errorf("%w: record response without parse", ErrBadMessage)
 	}
+	tokenize.Resplit(rec.Parsed.Lines)
 	return rec.Parsed, nil
 }
 

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"errors"
@@ -158,7 +157,7 @@ type Node struct {
 	id   string
 	ring *Ring
 	ps   *serve.Server
-	mgr  *lifecycle.Manager // optional; nil = plain serve.Server
+	mgr  *lifecycle.Manager // nil: the node only routes (no model to hand out or apply)
 	log  *obs.Logger
 	met  nodeMetrics
 
@@ -177,17 +176,6 @@ type Node struct {
 	fmu      sync.Mutex
 	inflight map[remoteKey]*forwardCall
 
-	// artifact holds the static FetchModel answer; version is the stamp
-	// applied to locally-parsed records when no lifecycle manager is
-	// attached. provider, when set, overrides artifact as the
-	// FetchModel source — the registry-backed path, where the
-	// authoritative bytes live on disk and move with the serving
-	// pointer rather than with an in-memory copy. With neither, a node
-	// with a manager serves the manager's current artifact.
-	artifact atomic.Pointer[Artifact]
-	provider atomic.Pointer[func() (Artifact, error)]
-	version  atomic.Pointer[string]
-
 	ready atomic.Bool
 }
 
@@ -197,11 +185,13 @@ type forwardCall struct {
 	err  error
 }
 
-// NewNode builds a cluster node over a serving layer. mgr may be nil
-// (no lifecycle management; ApplyModel then rebinds ps directly and
-// stamps records with the same name a manager would). The
-// node adds itself to the ring and is ready immediately — use
-// JoinFetchModel to gate readiness on fetching a model from a peer.
+// NewNode builds a cluster node over a serving layer whose model mgr
+// owns: the node hands joining peers mgr's live artifact and applies
+// rollouts through it. With a nil mgr the node only routes — it serves
+// and forwards parses through ps, but has no model to hand out or
+// apply (ErrNoModel). The node adds itself to the ring and is ready
+// immediately — use JoinFetchModel to gate readiness on fetching a
+// model from a peer.
 func NewNode(ps *serve.Server, mgr *lifecycle.Manager, opts Options) (*Node, error) {
 	if opts.ID == "" {
 		return nil, fmt.Errorf("cluster: node needs an ID")
@@ -221,8 +211,6 @@ func NewNode(ps *serve.Server, mgr *lifecycle.Manager, opts Options) (*Node, err
 	if o.RemoteCache > 0 {
 		n.remote = newRemoteCache(o.RemoteCache)
 	}
-	empty := ""
-	n.version.Store(&empty)
 	n.ring.Add(n.id)
 	n.ready.Store(true)
 	reg := o.Metrics
@@ -242,26 +230,6 @@ func (n *Node) ID() string { return n.id }
 // Ring returns the node's ring (shared routing state; mutate only via
 // AddPeer/RemovePeer).
 func (n *Node) Ring() *Ring { return n.ring }
-
-// SetModelArtifact installs the artifact this node serves to joining
-// peers via FetchModel, without swapping anything locally.
-func (n *Node) SetModelArtifact(a Artifact) {
-	n.artifact.Store(&a)
-}
-
-// SetModelProvider routes FetchModel through fn instead of the static
-// artifact: each joining peer gets whatever fn returns at fetch time. A
-// registry-backed daemon passes a closure that reads the family's
-// current serving artifact, so peers always join on the model the
-// registry says is serving — even if this node has not re-resolved
-// since the last promote. A nil fn restores the static-artifact path.
-func (n *Node) SetModelProvider(fn func() (Artifact, error)) {
-	if fn == nil {
-		n.provider.Store(nil)
-		return
-	}
-	n.provider.Store(&fn)
-}
 
 // AddPeer registers a member and rebalances the ring. Replacing the
 // client of an existing peer closes the old one.
@@ -472,45 +440,39 @@ func (n *Node) HandleParse(ctx context.Context, domain, text string) (*core.Pars
 	return rec, err
 }
 
-// ModelArtifact returns the serving artifact for a joining peer: from
-// the provider when one is set, else the static artifact, else the
-// attached manager's current model.
+// ModelArtifact returns the live snapshot's artifact for a joining
+// peer, under the identity this node serves it as — so a joiner always
+// serves exactly what this node does, whatever a registry pointer says
+// in the meantime.
 func (n *Node) ModelArtifact() (Artifact, error) {
-	var a Artifact
-	if fn := n.provider.Load(); fn != nil {
-		var err error
-		if a, err = (*fn)(); err != nil {
-			return Artifact{}, fmt.Errorf("%w: %v", ErrNoModel, err)
-		}
-	} else if p := n.artifact.Load(); p != nil {
-		a = *p
-	} else if n.mgr != nil {
-		snap := n.mgr.Current()
-		a = Artifact{Family: snap.Family, SemVer: snap.SemVer, Data: snap.Artifact}
-	}
-	if len(a.Data) == 0 {
+	if n.mgr == nil {
 		return Artifact{}, ErrNoModel
 	}
+	snap := n.mgr.Current()
 	n.met.fetches.Inc()
-	return a, nil
+	return Artifact{Family: snap.Family, SemVer: snap.SemVer, Data: snap.Artifact}, nil
 }
 
 // ApplyModel verifies the artifact (magic, format version, length,
 // CRC32C; feature dimensions on decode) and swaps it live under the
-// sender's identity: through the lifecycle manager when one is
-// attached (cache generation bumps atomically with the parse
-// function), directly onto the serve layer otherwise. Either way the
-// records are stamped "<family>/<semver>+<crc32c>". Applying the
-// version the node already serves leaves its model and serving cache
-// alone; verification failure leaves the old model serving. Every
-// successful apply invalidates the node's remote-result cache: its
-// entries were produced by peers that are swapping on their own
-// stagger, and a rollout's origin has reloaded before its own apply.
+// sender's identity through the lifecycle manager, whose cache
+// generation bumps atomically with the parse function; records are
+// stamped "<family>/<semver>+<crc32c>". Applying the version the node
+// already serves leaves its model and serving cache alone;
+// verification failure leaves the old model serving. Every successful
+// apply invalidates the node's remote-result cache: its entries were
+// produced by peers that are swapping on their own stagger, and a
+// rollout's origin has reloaded before its own apply. A node without a
+// manager returns ErrNoModel.
 func (n *Node) ApplyModel(a Artifact) (string, error) {
-	version, changed, err := n.applyLocal(a)
+	if n.mgr == nil {
+		return "", ErrNoModel
+	}
+	snap, changed, err := n.mgr.Apply(a.Data, a.Family, a.SemVer)
 	if err != nil {
 		return "", err
 	}
+	version := snap.Version
 	n.remoteGen.Add(1) // orphan remote-result entries from the old fleet state
 	n.ready.Store(true)
 	if changed {
@@ -518,34 +480,6 @@ func (n *Node) ApplyModel(a Artifact) (string, error) {
 		n.log.Info("model applied", "version", version, "bytes", len(a.Data))
 	}
 	return version, nil
-}
-
-// applyLocal swaps a into the local serving layer unless its version
-// is already serving there.
-func (n *Node) applyLocal(a Artifact) (string, bool, error) {
-	if n.mgr != nil {
-		snap, changed, err := n.mgr.Apply(a.Data, a.Family, a.SemVer)
-		if err != nil {
-			return "", false, err
-		}
-		return snap.Version, changed, nil
-	}
-	version, err := lifecycle.Identify(a.Data, a.Family, a.SemVer)
-	if err != nil || version == *n.version.Load() {
-		return version, false, err
-	}
-	p, err := store.ReadModel(bytes.NewReader(a.Data))
-	if err != nil {
-		return "", false, err
-	}
-	n.ps.SetParseFunc(func(text string) *core.ParsedRecord {
-		rec := p.Parse(text)
-		rec.ModelVersion = version
-		return rec
-	})
-	n.version.Store(&version)
-	n.artifact.Store(&a)
-	return version, true, nil
 }
 
 // Status implements Backend.
@@ -561,10 +495,10 @@ func (n *Node) Status() PeerStatus {
 }
 
 func (n *Node) modelVersion() string {
-	if n.mgr != nil {
-		return n.mgr.Current().Version
+	if n.mgr == nil {
+		return ""
 	}
-	return *n.version.Load()
+	return n.mgr.Current().Version
 }
 
 // --- Join and rollout ---
@@ -607,7 +541,7 @@ type RolloutReport struct {
 // every response attributable to exactly one model version.
 func (n *Node) Rollout(ctx context.Context, a Artifact, stagger time.Duration) (RolloutReport, error) {
 	rep := RolloutReport{Failed: map[string]string{}}
-	if _, err := lifecycle.Identify(a.Data, a.Family, a.SemVer); err != nil {
+	if _, err := store.VerifyModelBytes(a.Data); err != nil {
 		return rep, fmt.Errorf("cluster: rollout: %w", err)
 	}
 	n.met.rollouts.Inc()

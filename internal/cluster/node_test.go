@@ -263,10 +263,9 @@ func TestNodeHandleParseMapsOverload(t *testing.T) {
 }
 
 func TestNodeJoinFetchModel(t *testing.T) {
-	artA, _ := artifacts(t)
-	a := testNode(t, "node-a", echoParse("node-a"), Options{})
-	a.SetModelArtifact(artA)
-	b := testNode(t, "node-b", echoParse("node-b"), Options{})
+	artA, artB := artifacts(t)
+	a := modelNode(t, "node-a", artA, Options{})
+	b := modelNode(t, "node-b", artB, Options{})
 
 	version, err := b.JoinFetchModel(context.Background(), &InprocClient{B: a})
 	if err != nil {
@@ -305,49 +304,35 @@ func TestNodeJoinFetchModel(t *testing.T) {
 	}
 }
 
-func TestNodeModelProvider(t *testing.T) {
-	artA, artB := artifacts(t)
+// TestNodeWithoutManagerOnlyRoutes pins the routing-only node: with no
+// lifecycle manager it has no model to hand a joiner or to swap, and
+// says so with ErrNoModel, while parses keep flowing to owners and
+// through its own serving layer.
+func TestNodeWithoutManagerOnlyRoutes(t *testing.T) {
+	artA, _ := artifacts(t)
 	a := testNode(t, "node-a", echoParse("node-a"), Options{})
-	a.SetModelArtifact(artA) // static bytes that the provider must shadow
-
-	// The provider wins over the static artifact, and is consulted at
-	// fetch time — a registry promote between fetches changes what the
-	// next joiner receives without touching the node.
-	current := &artB
-	a.SetModelProvider(func() (Artifact, error) { return *current, nil })
-
-	got, err := a.ModelArtifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Data) != string(artB.Data) || got.SemVer != artB.SemVer {
-		t.Fatal("provider artifact not served")
-	}
-	current = &artA
-	if got, _ := a.ModelArtifact(); string(got.Data) != string(artA.Data) {
-		t.Fatal("provider not consulted per fetch")
-	}
-
-	// A failing provider maps to ErrNoModel: joiners stay gated rather
-	// than receiving an empty or stale model.
-	a.SetModelProvider(func() (Artifact, error) { return Artifact{}, errors.New("registry unreadable") })
-	if _, err := a.ModelArtifact(); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("err = %v, want ErrNoModel", err)
-	}
-
-	// Clearing the provider restores the static path, and a joiner can
-	// fetch through the provider end to end.
-	a.SetModelProvider(nil)
-	if got, _ := a.ModelArtifact(); string(got.Data) != string(artA.Data) {
-		t.Fatal("static artifact not restored")
-	}
-	a.SetModelProvider(func() (Artifact, error) { return artB, nil })
 	b := testNode(t, "node-b", echoParse("node-b"), Options{})
-	if _, err := b.JoinFetchModel(context.Background(), &InprocClient{B: a}); err != nil {
-		t.Fatal(err)
+	link(a, b)
+	ctx := context.Background()
+	if _, err := (&InprocClient{B: a}).FetchModel(ctx); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("FetchModel err = %v, want ErrNoModel", err)
 	}
-	if !b.Status().Ready {
-		t.Fatal("joiner not ready after provider-backed fetch")
+	if _, err := (&InprocClient{B: a}).ApplyModel(ctx, artA); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("ApplyModel err = %v, want ErrNoModel", err)
+	}
+	rep, err := b.Rollout(ctx, artA, 0)
+	if err != nil || len(rep.Applied) != 0 || len(rep.Failed) != 2 {
+		t.Fatalf("rollout over routing-only nodes: %+v, %v", rep, err)
+	}
+	if st := a.Status(); !st.Ready || st.ModelVersion != "" {
+		t.Fatalf("status after refused apply = %+v", st)
+	}
+	for _, owner := range []string{"node-a", "node-b"} {
+		d := domainOwnedBy(t, a.Ring(), owner)
+		rec, err := a.ParseDomain(ctx, d, "text-"+d)
+		if err != nil || rec.Registrar != owner {
+			t.Fatalf("%s (owner %s) served %+v, %v", d, owner, rec, err)
+		}
 	}
 }
 
@@ -370,9 +355,9 @@ func TestNodeJoinFailsClosed(t *testing.T) {
 }
 
 func TestNodeApplyModelRejectsCorruptArtifact(t *testing.T) {
-	artA, _ := artifacts(t)
-	n := testNode(t, "solo", echoParse("solo"), Options{})
-	genBefore := n.Status().Generation
+	artA, artB := artifacts(t)
+	n := modelNode(t, "solo", artB, Options{})
+	before := n.Status()
 
 	if _, err := n.ApplyModel(Artifact{Data: []byte("not a model")}); err == nil {
 		t.Fatal("garbage artifact accepted")
@@ -385,27 +370,27 @@ func TestNodeApplyModelRejectsCorruptArtifact(t *testing.T) {
 		t.Fatal("corrupt artifact accepted")
 	}
 	st := n.Status()
-	if st.ModelVersion != "" {
-		t.Fatalf("version = %q after failed applies, want unchanged", st.ModelVersion)
+	if st.ModelVersion != before.ModelVersion {
+		t.Fatalf("version = %q after failed applies, want %q", st.ModelVersion, before.ModelVersion)
 	}
-	if st.Generation != genBefore {
+	if st.Generation != before.Generation {
 		t.Fatal("cache generation bumped by a failed apply")
 	}
-	// The old parse function still serves.
-	rec, err := n.ParseDomain(context.Background(), "example.com", "text")
-	if err != nil || rec.Registrar != "solo" {
+	// The old model still serves.
+	rec, err := n.ParseDomain(context.Background(), "example.com", "Domain Name: EXAMPLE.COM\r\n")
+	if err != nil || rec.ModelVersion != before.ModelVersion {
 		t.Fatalf("old model not serving after failed apply: %v %+v", err, rec)
 	}
 }
 
 func TestNodeRollout(t *testing.T) {
-	_, artB := artifacts(t)
+	artA, artB := artifacts(t)
 	regs := map[string]*obs.Registry{}
 	var nodes []*Node
 	for _, id := range []string{"node-a", "node-b", "node-c"} {
 		reg := obs.NewRegistry()
 		regs[id] = reg
-		nodes = append(nodes, testNode(t, id, echoParse(id), Options{Metrics: reg}))
+		nodes = append(nodes, modelNode(t, id, artA, Options{Metrics: reg}))
 	}
 	link(nodes...)
 	gensBefore := map[string]uint64{}
@@ -440,8 +425,8 @@ func TestNodeRollout(t *testing.T) {
 }
 
 func TestNodeRolloutReportsFailures(t *testing.T) {
-	_, artB := artifacts(t)
-	a := testNode(t, "node-a", echoParse("node-a"), Options{})
+	artA, artB := artifacts(t)
+	a := modelNode(t, "node-a", artA, Options{})
 	a.AddPeer("node-dead", errClient{err: errors.New("apply refused")})
 
 	rep, err := a.Rollout(context.Background(), artB, 0)

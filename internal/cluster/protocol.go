@@ -59,9 +59,10 @@ func (e *OverloadedError) Is(target error) bool { return target == ErrPeerOverlo
 
 // Artifact is a WMDL model in transit together with the registry
 // identity its sender serves it under. The receiver verifies Data and
-// stamps its records "<Family>/<SemVer>+<crc32c>" (lifecycle.Identify),
-// with the CRC taken from the verified bytes — so every node serving
-// the artifact names it the same way as the node it came from.
+// stamps its records "<Family>/<SemVer>+<crc32c>" (lifecycle's
+// Manager.Apply), with the CRC taken from the verified bytes — so every
+// node serving the artifact names it the same way as the node it came
+// from.
 type Artifact struct {
 	Family string
 	SemVer string
@@ -120,7 +121,7 @@ type Backend interface {
 	// ModelArtifact returns the serving WMDL artifact, or ErrNoModel.
 	ModelArtifact() (Artifact, error)
 	// ApplyModel verifies the artifact and swaps it live, returning the
-	// new model version.
+	// new model version, or ErrNoModel from a node without a model.
 	ApplyModel(a Artifact) (string, error)
 	// Status returns the node's self-description.
 	Status() PeerStatus

@@ -128,6 +128,8 @@ type crawlMetrics struct {
 	failures    *obs.Counter
 	rateLimited *obs.Counter
 	retries     *obs.Counter
+	thinTime    *obs.Histogram // crawler.thin.seconds: one registry lookup, retries included
+	thickTime   *obs.Histogram // crawler.thick.seconds: one registrar lookup, retries included
 }
 
 func (m *crawlMetrics) register(reg *obs.Registry) {
@@ -138,6 +140,8 @@ func (m *crawlMetrics) register(reg *obs.Registry) {
 	m.failures = reg.Counter("crawler.failures")
 	m.rateLimited = reg.Counter("crawler.ratelimited")
 	m.retries = reg.Counter("crawler.retries")
+	m.thinTime = reg.Histogram("crawler.thin.seconds", obs.DurationBounds())
+	m.thickTime = reg.Histogram("crawler.thick.seconds", obs.DurationBounds())
 }
 
 // New builds a Crawler, applying defaults.
@@ -336,9 +340,9 @@ func (c *Crawler) crawlOne(ctx context.Context, domain string, worker int, stats
 	res := Result{Domain: domain}
 	c.met.domains.Inc()
 
-	thinSpan := c.reg.Start("crawler.thin")
+	start := time.Now()
 	thin, attempts, err := c.queryWithRetry(ctx, c.cfg.Registry, domain, worker, stats)
-	thinSpan.End(err)
+	c.met.thinTime.ObserveSince(start)
 	res.Attempts += attempts
 	if err != nil {
 		res.Err = fmt.Errorf("crawler: thin %s: %w", domain, err)
@@ -364,9 +368,9 @@ func (c *Crawler) crawlOne(ctx context.Context, domain string, worker int, stats
 	}
 	res.WhoisServer = server
 
-	thickSpan := c.reg.Start("crawler.thick")
+	start = time.Now()
 	thick, attempts, err := c.queryWithRetry(ctx, server, domain, worker, stats)
-	thickSpan.End(err)
+	c.met.thickTime.ObserveSince(start)
 	res.Attempts += attempts
 	if err != nil {
 		res.Err = fmt.Errorf("crawler: thick %s at %s: %w", domain, server, err)

@@ -1,19 +1,21 @@
 // Package lifecycle is the online model-lifecycle control plane: it owns
-// which trained model is live, swaps models with zero downtime, watches
-// live traffic for drift, and retrains + shadow-evaluates candidates so
-// a worse model is never promoted.
+// which trained model is live, swaps models with zero downtime, and
+// watches live traffic for drift.
 //
 // The paper's system is not a one-shot parser: WHOIS templates drift as
 // registrars change formats (§5.1), so the deployed model is retrained
 // on newly labeled records and redeployed while the daemons keep
-// serving. This package closes that loop in-process:
+// serving. Retraining runs offline (whoisparse train → eval → model
+// publish → promote); this package is the serving half of that loop:
 //
-//	     ┌──────────────────────────────────────────────┐
-//	     ▼                                              │
-//	Serving ──drift──▶ DriftFlagged ──▶ Retraining ──▶ Shadow
-//	     ▲                                              │
-//	     └────────────── promoted ◀─────────────────────┘
-//	                     (rejected keeps the old model)
+//	serving ──drift flagged──▶ drift-flagged
+//	   ▲                            │
+//	   └──── every flag clears ─────┘
+//
+// A drift flag changes no model: it demotes the registrar's L0 template
+// and tells the operator which registrars need labeling. A retrained
+// model reaches serving only through Reload, or Apply when a cluster
+// rollout pushes it.
 //
 // The hot-swap mechanics live in internal/serve: a Manager holds the
 // current model in an atomic Snapshot pointer and, on swap, rebinds every
@@ -40,7 +42,6 @@ package lifecycle
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -57,47 +58,9 @@ import (
 	"repro/internal/tiered"
 )
 
-// State is the lifecycle position of the serving stack. Transitions are
-// Serving → DriftFlagged (sentinel), DriftFlagged/Serving → Retraining →
-// Shadow → Serving (promoted or rejected; DriftFlagged again if flags
-// remain). Exported via the lifecycle.state gauge.
-type State int32
-
-const (
-	// StateServing: the live model is healthy and serving.
-	StateServing State = iota
-	// StateDriftFlagged: at least one registrar window tripped the
-	// sentinel; the live model keeps serving while labeling/retraining
-	// catches up.
-	StateDriftFlagged
-	// StateRetraining: a candidate model is being trained.
-	StateRetraining
-	// StateShadow: the candidate is being evaluated against the live
-	// model on held-out labeled data.
-	StateShadow
-)
-
-func (s State) String() string {
-	switch s {
-	case StateServing:
-		return "serving"
-	case StateDriftFlagged:
-		return "drift-flagged"
-	case StateRetraining:
-		return "retraining"
-	case StateShadow:
-		return "shadow"
-	}
-	return fmt.Sprintf("state(%d)", int32(s))
-}
-
 // ImplicitVersion is the semver a bare WMDL file (or an in-memory
 // artifact) is served under: it opens as a one-version registry.
 const ImplicitVersion = "0.0.0"
-
-// ErrNoRegistry reports a registry-only operation (Retrain) on a
-// Manager whose model did not come from a model registry.
-var ErrNoRegistry = errors.New("lifecycle: manager has no model registry")
 
 // Snapshot is one immutable generation of the serving model. Swaps
 // replace the whole snapshot atomically; nothing in it is ever mutated
@@ -125,9 +88,8 @@ type Snapshot struct {
 	Version string
 }
 
-// Options configures a Manager. The zero value is usable: drift
-// sentinel on with default thresholds, no retraining (Retrain errors
-// without Holdout or a registry).
+// Options configures a Manager. The zero value is usable: a private
+// metrics registry, a discarded log and no L0 router.
 type Options struct {
 	// Metrics receives lifecycle.* metrics; nil means a private
 	// registry (reachable via Manager.Metrics). Swapped-in models are
@@ -135,90 +97,22 @@ type Options struct {
 	// daemon that shares one registry across core/serve/store sees
 	// every model generation under the same core.* names.
 	Metrics *obs.Registry
-	// Log receives lifecycle events (swaps, drift flags, promotion
-	// verdicts); nil discards them.
+	// Log receives lifecycle events (swaps, drift flags); nil discards
+	// them.
 	Log *obs.Logger
-
-	// SampleEvery scores every Nth parse with posterior confidence
-	// (ParseWithConfidence costs one extra forward-backward over the
-	// block lattice); the rest run the plain Viterbi path and feed only
-	// the null/other-rate window. <= 0 means 8; 1 scores everything.
-	SampleEvery int
-	// Window is the per-registrar sliding-window size in observations;
-	// <= 0 means 64.
-	Window int
-	// MinWindow is the minimum observations before a window may flag;
-	// <= 0 means 16 (capped at Window).
-	MinWindow int
-	// ConfidenceFloor flags a registrar whose windowed mean minimum
-	// posterior confidence falls below it; <= 0 means 0.5.
-	ConfidenceFloor float64
-	// NullOtherCeiling flags a registrar whose windowed mean fraction
-	// of Null/Other lines exceeds it — the "model stopped recognizing
-	// the template" signal (§5.1). <= 0 means 0.9.
-	NullOtherCeiling float64
-
 	// Tiered, when non-nil, is the L0 template router the manager serves
 	// through: every parse function handed to attached servers is bound
-	// via Tiered.Bind, a registrar that trips the drift sentinel has its
-	// template demoted (the §2.3 failure mode — the template is exactly
-	// what drifted), and a promoted retrain rebuilds the template set
-	// from the candidate's training records so both tiers move together.
-	// Plain model swaps/reloads leave L0 untouched: templates derive from
-	// labeled data, not model weights.
+	// via Tiered.Bind, and a registrar that trips the drift sentinel has
+	// its template demoted (the §2.3 failure mode — the template is
+	// exactly what drifted). Model swaps leave L0 untouched: templates
+	// derive from labeled data, not model weights.
 	Tiered *tiered.Router
-
-	// Train is the config candidates are retrained with; the zero value
-	// means core.DefaultConfig().
-	Train core.Config
-	// Holdout is the labeled evaluation set for shadow comparison;
-	// Retrain refuses to run without it, because promotion without an
-	// independent yardstick is how a worse model goes live.
-	Holdout []*labels.LabeledRecord
-	// CorpusPath, when set, is recorded in published manifests as the
-	// training-data source (Provenance.CorpusPath).
-	CorpusPath string
-}
-
-func (o Options) withDefaults() Options {
-	if o.Metrics == nil {
-		o.Metrics = obs.NewRegistry()
-	}
-	if o.Log == nil {
-		o.Log = obs.NewLogger("lifecycle", io.Discard)
-	}
-	if o.SampleEvery <= 0 {
-		o.SampleEvery = 8
-	}
-	if o.Window <= 0 {
-		o.Window = 64
-	}
-	if o.MinWindow <= 0 {
-		o.MinWindow = 16
-	}
-	if o.MinWindow > o.Window {
-		o.MinWindow = o.Window
-	}
-	if o.ConfidenceFloor <= 0 {
-		o.ConfidenceFloor = 0.5
-	}
-	if o.NullOtherCeiling <= 0 {
-		o.NullOtherCeiling = 0.9
-	}
-	if o.Train.L2 == 0 && o.Train.MinCount == 0 {
-		o.Train = core.DefaultConfig()
-	}
-	return o
 }
 
 type metrics struct {
-	swaps       *obs.Counter
-	reloads     *obs.Counter
-	promotions  *obs.Counter
-	rejections  *obs.Counter
-	retrainErrs *obs.Counter
-	state       *obs.Gauge
-	modelSeq    *obs.Gauge
+	swaps    *obs.Counter
+	reloads  *obs.Counter
+	modelSeq *obs.Gauge
 
 	driftObs     *obs.Counter
 	driftEvents  *obs.Counter
@@ -229,13 +123,9 @@ type metrics struct {
 
 func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
-		swaps:       reg.Counter("lifecycle.swaps"),
-		reloads:     reg.Counter("lifecycle.reloads"),
-		promotions:  reg.Counter("lifecycle.retrain.promotions"),
-		rejections:  reg.Counter("lifecycle.retrain.rejections"),
-		retrainErrs: reg.Counter("lifecycle.retrain.errors"),
-		state:       reg.Gauge("lifecycle.state"),
-		modelSeq:    reg.Gauge("lifecycle.model.seq"),
+		swaps:    reg.Counter("lifecycle.swaps"),
+		reloads:  reg.Counter("lifecycle.reloads"),
+		modelSeq: reg.Gauge("lifecycle.model.seq"),
 
 		driftObs:     reg.Counter("lifecycle.drift.observations"),
 		driftEvents:  reg.Counter("lifecycle.drift.events"),
@@ -259,19 +149,14 @@ type Manager struct {
 	path   string
 	family string
 
-	cur   atomic.Pointer[Snapshot]
-	seq   atomic.Uint64
-	state atomic.Int32
+	cur atomic.Pointer[Snapshot]
+	seq atomic.Uint64
 
 	// mu serializes swaps and the attached-server set, so every server
 	// converges on the latest snapshot even under concurrent swaps.
 	mu         sync.Mutex
 	attached   []*serve.Server
 	instrument bool
-
-	// retrainMu serializes train → shadow → promote, one candidate at
-	// a time.
-	retrainMu sync.Mutex
 
 	sentinel *sentinel
 }
@@ -293,16 +178,6 @@ func verifyArtifact(data []byte, family, semver, path string) (Snapshot, error) 
 	}
 	return Snapshot{Info: info, Artifact: data, Path: path, Family: family, SemVer: semver,
 		Version: modelreg.FormatVersionString(family, semver, info.CRC32C)}, nil
-}
-
-// Identify verifies a WMDL artifact end to end and returns the name it
-// is served under as family/semver: "<family>/<semver>+<crc32c>", with
-// empty family and semver meaning modelreg.DefaultFamily and
-// ImplicitVersion. A cluster node without a Manager stamps what it
-// applies with this same name.
-func Identify(data []byte, family, semver string) (string, error) {
-	a, err := verifyArtifact(data, family, semver, "")
-	return a.Version, err
 }
 
 // Open builds a Manager over the model source at path: a model registry
@@ -347,17 +222,20 @@ func newManager(family string, opts Options) *Manager {
 		family = modelreg.DefaultFamily
 	}
 	instrument := opts.Metrics != nil
-	opts = opts.withDefaults()
-	m := &Manager{
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
+	if opts.Log == nil {
+		opts.Log = obs.NewLogger("lifecycle", io.Discard)
+	}
+	return &Manager{
 		opts:       opts,
 		log:        opts.Log,
 		met:        newMetrics(opts.Metrics),
 		family:     family,
 		instrument: instrument,
+		sentinel:   newSentinel(),
 	}
-	m.sentinel = newSentinel(opts)
-	m.setState(StateServing)
-	return m
 }
 
 // Metrics returns the registry lifecycle metrics land in.
@@ -373,12 +251,13 @@ func (m *Manager) Family() string { return m.family }
 // Current returns the live snapshot.
 func (m *Manager) Current() *Snapshot { return m.cur.Load() }
 
-// State returns the lifecycle state.
-func (m *Manager) State() State { return State(m.state.Load()) }
-
-func (m *Manager) setState(s State) {
-	m.state.Store(int32(s))
-	m.met.state.Set(int64(s))
+// State names the lifecycle position: "drift-flagged" while any
+// registrar is past the drift threshold, else "serving".
+func (m *Manager) State() string {
+	if len(m.sentinel.flagged()) > 0 {
+		return "drift-flagged"
+	}
+	return "serving"
 }
 
 // Attach routes a serve.Server through the manager: its parse function
@@ -452,9 +331,6 @@ func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, conf float64) 
 		m.log.Warn("drift flagged",
 			"registrar", reg, "model", snap.Version,
 			"conf", fmt.Sprintf("%.3f", conf), "nullrate", fmt.Sprintf("%.3f", rate))
-		if m.State() == StateServing {
-			m.setState(StateDriftFlagged)
-		}
 		if m.opts.Tiered != nil && m.opts.Tiered.Demote(reg) {
 			// The drifted registrar's template must stop serving: an
 			// exact template is the artifact drift invalidates first
@@ -465,9 +341,6 @@ func (m *Manager) observe(snap *Snapshot, rec *core.ParsedRecord, conf float64) 
 	}
 	if unflagged {
 		m.log.Info("drift cleared", "registrar", reg)
-		if total == 0 && m.State() == StateDriftFlagged {
-			m.setState(StateServing)
-		}
 	}
 }
 

@@ -20,6 +20,9 @@ import (
 // threshold (with at least minWindow observations), and unflagged when
 // both recover. Transitions, not levels, are reported to the manager so
 // flapping windows do not spam logs or callbacks.
+//
+// The thresholds are the defaults below; tests shrink a sentinel's
+// fields before feeding it traffic.
 type sentinel struct {
 	sampleEvery uint64
 	window      int
@@ -66,13 +69,32 @@ func (r *ring) mean() float64 {
 	return r.sum / float64(r.n)
 }
 
-func newSentinel(opts Options) *sentinel {
+// Sentinel defaults.
+const (
+	// sampleEvery scores every Nth parse with posterior confidence
+	// (ParseWithConfidence costs one extra forward-backward over the
+	// block lattice); the rest run the plain Viterbi path.
+	sampleEvery = 8
+	// window is the per-registrar sliding-window size in observations.
+	window = 64
+	// minWindow is the minimum observations before a window may flag.
+	minWindow = 16
+	// confidenceFloor flags a registrar whose windowed mean minimum
+	// posterior confidence falls below it.
+	confidenceFloor = 0.5
+	// nullOtherCeiling flags a registrar whose windowed mean fraction
+	// of Null/Other lines exceeds it — the "model stopped recognizing
+	// the template" signal (§5.1).
+	nullOtherCeiling = 0.9
+)
+
+func newSentinel() *sentinel {
 	return &sentinel{
-		sampleEvery: uint64(opts.SampleEvery),
-		window:      opts.Window,
-		minWindow:   opts.MinWindow,
-		confFloor:   opts.ConfidenceFloor,
-		nullCeil:    opts.NullOtherCeiling,
+		sampleEvery: sampleEvery,
+		window:      window,
+		minWindow:   minWindow,
+		confFloor:   confidenceFloor,
+		nullCeil:    nullOtherCeiling,
 		regs:        map[string]*regWindow{},
 		flags:       map[string]bool{},
 	}
@@ -129,13 +151,4 @@ func (s *sentinel) flagged() []string {
 		out = append(out, r)
 	}
 	return out
-}
-
-// reset clears all windows and flags — called after a promotion, since
-// the evidence of the old model's drift says nothing about the new one.
-func (s *sentinel) reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.regs = map[string]*regWindow{}
-	s.flags = map[string]bool{}
 }

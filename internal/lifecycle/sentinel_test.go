@@ -5,12 +5,14 @@ import (
 	"testing"
 )
 
-func testSentinel() *sentinel {
-	return newSentinel(Options{
-		SampleEvery: 1, Window: 8, MinWindow: 4,
-		ConfidenceFloor: 0.5, NullOtherCeiling: 0.9,
-	}.withDefaults())
+// shrink sets s up to score every parse over windows of 8 that may
+// flag after 4 observations. Call it before any traffic.
+func shrink(s *sentinel) *sentinel {
+	s.sampleEvery, s.window, s.minWindow = 1, 8, 4
+	return s
 }
+
+func testSentinel() *sentinel { return shrink(newSentinel()) }
 
 func TestRingSlidingMean(t *testing.T) {
 	r := ring{buf: make([]float64, 4)}
@@ -90,17 +92,11 @@ func TestSentinelIsolatesRegistrars(t *testing.T) {
 	if len(got) != 1 || got[0] != "bad" {
 		t.Fatalf("flagged() = %v, want [bad]", got)
 	}
-	s.reset()
-	if len(s.flagged()) != 0 {
-		t.Fatal("reset left flags standing")
-	}
-	if f, _, _ := s.observe("bad", 0.1, 0); f {
-		t.Fatal("flagged immediately after reset: windows survived")
-	}
 }
 
 func TestSentinelSampling(t *testing.T) {
-	s := newSentinel(Options{SampleEvery: 4}.withDefaults())
+	s := newSentinel()
+	s.sampleEvery = 4
 	n := 0
 	for i := 0; i < 400; i++ {
 		if s.shouldScore() {
@@ -108,12 +104,12 @@ func TestSentinelSampling(t *testing.T) {
 		}
 	}
 	if n != 100 {
-		t.Fatalf("scored %d of 400 with SampleEvery=4, want 100", n)
+		t.Fatalf("scored %d of 400 with sampleEvery=4, want 100", n)
 	}
-	every := newSentinel(Options{SampleEvery: 1}.withDefaults())
+	every := testSentinel()
 	for i := 0; i < 10; i++ {
 		if !every.shouldScore() {
-			t.Fatal("SampleEvery=1 skipped a parse")
+			t.Fatal("sampleEvery=1 skipped a parse")
 		}
 	}
 }

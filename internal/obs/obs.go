@@ -1,9 +1,9 @@
 // Package obs is the repo's stdlib-only observability layer: lock-free
 // counters, gauges, and fixed-bucket histograms collected in a Registry
-// that snapshots to expvar-compatible JSON; a leveled key=value logger
-// with a swappable sink that replaces the scattered `Logf func(...)`
-// callbacks; and a lightweight span API that records per-stage duration
-// and outcome.
+// that snapshots to expvar-compatible JSON, and a leveled key=value
+// logger with a swappable sink that replaces the scattered
+// `Logf func(...)` callbacks. Stage timings are histograms resolved
+// once by their owner and observed on the hot path.
 //
 // The paper's production framing (102M records in §6, the ROADMAP's
 // "heavy traffic from millions of users") makes per-stage visibility a
@@ -15,8 +15,7 @@
 // Metric naming scheme (see DESIGN.md §5c): dot-separated lowercase
 // paths, `<component>.<subsystem>.<metric>`; counters are cumulative
 // event counts, gauges are current values, histograms carry a unit
-// suffix (`.seconds`, `.bytes`). Span stages record under
-// `<stage>.seconds`, `<stage>.calls`, and `<stage>.errors`.
+// suffix (`.seconds`, `.bytes`).
 package obs
 
 import (
@@ -44,7 +43,7 @@ type metric interface {
 }
 
 // Default is the process-wide registry used when no explicit registry is
-// supplied (e.g. obs.Start on a context with no registry attached).
+// supplied.
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -207,35 +206,4 @@ func TestLoggerWithAndNil(t *testing.T) {
 	if nilLogger.Enabled(LevelError) {
 		t.Error("nil logger reports enabled")
 	}
-}
-
-func TestSpanRecordsDurationAndOutcome(t *testing.T) {
-	r := NewRegistry()
-	ctx := WithRegistry(context.Background(), r)
-	if RegistryFrom(ctx) != r {
-		t.Fatal("RegistryFrom lost the registry")
-	}
-	if RegistryFrom(context.Background()) != Default {
-		t.Fatal("RegistryFrom without registry should be Default")
-	}
-
-	_, sp := Start(ctx, "parse")
-	time.Sleep(time.Millisecond)
-	sp.End(nil)
-	_, sp = Start(ctx, "parse")
-	sp.End(errors.New("boom"))
-
-	if got := r.Counter("parse.calls").Value(); got != 2 {
-		t.Errorf("parse.calls = %d, want 2", got)
-	}
-	if got := r.Counter("parse.errors").Value(); got != 1 {
-		t.Errorf("parse.errors = %d, want 1", got)
-	}
-	h := r.Histogram("parse.seconds", nil)
-	if h.Count() != 2 || h.Sum() <= 0 {
-		t.Errorf("parse.seconds count=%d sum=%g, want 2 observations with positive sum", h.Count(), h.Sum())
-	}
-
-	var nilSpan *Span
-	nilSpan.End(nil) // must not panic
 }

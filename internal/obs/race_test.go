@@ -158,23 +158,3 @@ func TestConcurrentSnapshotWhileWriting(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-func TestConcurrentSpans(t *testing.T) {
-	r := NewRegistry()
-	const workers, perW = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				sp := r.Start("stage")
-				sp.End(nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("stage.calls").Value(); got != workers*perW {
-		t.Errorf("stage.calls = %d, want %d", got, workers*perW)
-	}
-}

@@ -30,7 +30,7 @@ func (s *Stack) AdminHandlers(mux *http.ServeMux) {
 		snap := s.Model.Current()
 		writeJSON(w, map[string]any{
 			"version": snap.Version, "seq": snap.Seq, "artifact": snap.Info.String(), "path": snap.Path,
-			"state": s.Model.State().String(), "flagged": s.Model.Flagged(),
+			"state": s.Model.State(), "flagged": s.Model.Flagged(),
 		})
 	})
 	if reg := s.Model.Registry(); reg != nil {
@@ -83,11 +83,14 @@ func (s *Stack) adminReload(w http.ResponseWriter, r *http.Request) {
 
 // adminStageMove advances ?version=V one stage (candidate → shadow →
 // serving) or rolls the family's serving pointer back to it on POST.
-// When the move lands on serving the stack converges on it: Reload
-// swaps this process and, when clustered, a Rollout pushes the new
-// artifact to every peer so the ring moves together. This node already
-// serves it by then, so its own apply is a no-op and its cache is
-// invalidated exactly once.
+// Promoting the version the registry already serves (moved there out of
+// band, by the CLI or another process) moves no pointer. When the
+// family's serving version is V the stack converges on it: Reload swaps
+// this process and, when clustered, a Rollout pushes its artifact to
+// every peer so the ring moves together. This is the only way a
+// registry move reaches the fleet; joiners always fetch the live model.
+// This node already serves V by then, so its own apply is a no-op and
+// its cache is invalidated at most once.
 func (s *Stack) adminStageMove(rollback bool) http.HandlerFunc {
 	reg := s.Model.Registry()
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -108,6 +111,8 @@ func (s *Stack) adminStageMove(rollback bool) http.HandlerFunc {
 		var err error
 		if rollback {
 			stage, err = modelreg.StageServing, reg.Rollback(family, version)
+		} else if res, rerr := reg.ResolveServing(family); rerr == nil && res.Version == version {
+			stage = modelreg.StageServing
 		} else {
 			stage, err = reg.Promote(family, version)
 		}
@@ -123,7 +128,7 @@ func (s *Stack) adminStageMove(rollback bool) http.HandlerFunc {
 				return
 			}
 			resp["serving"], resp["swapped"] = snap.Version, changed
-			if s.Node != nil && changed {
+			if s.Node != nil && snap.Family == family && snap.SemVer == version {
 				ctx, cancel := context.WithTimeout(r.Context(), time.Minute)
 				report, err := s.Node.Rollout(ctx, cluster.Artifact{
 					Family: snap.Family, SemVer: snap.SemVer, Data: snap.Artifact,

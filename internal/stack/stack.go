@@ -41,6 +41,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/tiered"
+	"repro/internal/tokenize"
 )
 
 // Config describes one daemon's serving stack. Only the model fields
@@ -244,9 +245,10 @@ func (s *Stack) openStore(dir string) error {
 // warmStart replays the newest store segment (the records written
 // closest to the previous shutdown) into the serving cache: records that
 // carry both their raw text and a parsed view preload under the same
-// cache key a live request for that text would compute. Only records
-// stamped by the exact model version serving are admitted — anything
-// else would be misattributed.
+// cache key a live request for that text would compute, with their
+// line titles and values re-derived (the store keeps only raw lines).
+// Only records stamped by the exact model version serving are admitted
+// — anything else would be misattributed.
 func warmStart(ps *serve.Server, st *store.Store, version string) (int, error) {
 	it := st.IterNewestSegment()
 	defer it.Close()
@@ -256,6 +258,7 @@ func warmStart(ps *serve.Server, st *store.Store, version string) (int, error) {
 		if rec.Text == "" || rec.Parsed == nil || rec.Parsed.ModelVersion != version {
 			continue // thin, unparsed, or parsed by a different model
 		}
+		tokenize.Resplit(rec.Parsed.Lines)
 		ps.Preload(rec.Text, rec.Parsed)
 		n++
 	}
@@ -292,21 +295,6 @@ func (s *Stack) openCluster(c ClusterConfig, w io.Writer) error {
 			pid, paddr = spec, spec
 		}
 		s.Node.AddPeer(pid, cluster.DialTCP(paddr))
-	}
-	if reg := s.Model.Registry(); reg != nil {
-		// Joining peers fetch whatever the registry says is serving
-		// right now — a promote between joins changes what the next
-		// peer receives, with no restart. Without a registry the node
-		// hands out the manager's current artifact.
-		family := s.Model.Family()
-		s.Node.SetModelProvider(func() (cluster.Artifact, error) {
-			res, err := reg.ResolveServing(family)
-			if err != nil {
-				return cluster.Artifact{}, err
-			}
-			data, err := os.ReadFile(res.Path)
-			return cluster.Artifact{Family: family, SemVer: res.Version, Data: data}, err
-		})
 	}
 	if c.Join != "" {
 		jc := cluster.DialTCP(c.Join)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/labels"
 	"repro/internal/modelreg"
+	"repro/internal/rdap"
 	"repro/internal/store"
 	"repro/internal/survey"
 	"repro/internal/synth"
@@ -243,6 +244,116 @@ func TestClusteredPromoteStampsOnce(t *testing.T) {
 				t.Fatalf("%s answered %s stamped %q, want %q", s.Node.ID(), r.Domain, rec.ModelVersion, v2)
 			}
 		}
+	}
+}
+
+// TestJoinerFetchesLiveModel pins the model-distribution contract: a
+// registry pointer moved out of band, with no reload, does not reach a
+// joining peer — it fetches the model the origin serves, so the ring
+// never splits across versions. The move reaches the fleet only
+// through the origin's promote endpoint (Reload plus Rollout).
+func TestJoinerFetchesLiveModel(t *testing.T) {
+	_, fileA, fileB := models(t)
+	reg := registry(t, fileA, fileB)
+	origin := open(t, Config{Model: reg.Root(), Cluster: ClusterConfig{Listen: "127.0.0.1:0", ID: "a"}})
+	for i := 0; i < 2; i++ { // candidate → shadow → serving, behind the origin's back
+		if _, err := reg.Promote(modelreg.DefaultFamily, "1.1.0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	originAddr := origin.Node.Status().Addr
+	peer := open(t, Config{Model: fileB, Cluster: ClusterConfig{
+		Listen: "127.0.0.1:0", ID: "b", Peers: "a=" + originAddr, Join: originAddr,
+	}})
+	origin.Node.AddPeer("b", cluster.DialTCP(peer.Node.Status().Addr))
+
+	v1, v2 := canonical(t, fileA, "1.0.0"), canonical(t, fileB, "1.1.0")
+	for _, s := range []*Stack{origin, peer} {
+		if got := s.Model.Current().Version; got != v1 {
+			t.Fatalf("%s serves %q after the out-of-band promote, want the origin's %q", s.Node.ID(), got, v1)
+		}
+	}
+
+	mux := http.NewServeMux()
+	origin.AdminHandlers(mux)
+	body := post(t, mux, "/admin/model/promote?version=1.1.0")
+	if body["stage"] != "serving" || body["serving"] != v2 || body["swapped"] != true {
+		t.Fatalf("promote of the registry's serving version: %v", body)
+	}
+	for _, s := range []*Stack{origin, peer} {
+		if got := s.Node.Status().ModelVersion; got != v2 {
+			t.Fatalf("%s serves %q after the promote, want %q", s.Node.ID(), got, v2)
+		}
+	}
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/admin/model", nil))
+	var model map[string]any
+	if err := json.Unmarshal(rr.Body.Bytes(), &model); err != nil || model["version"] != v2 || model["state"] != "serving" {
+		t.Fatalf("GET /admin/model = %s (%v)", rr.Body.String(), err)
+	}
+}
+
+// TestDecodedAnswersRenderLikeLocalParses: a /parsed answer forwarded
+// from the owning node over the shard protocol, and one preloaded from
+// the store at warm start, both come through the record codec, which
+// keeps only each line's raw text. Each must render the same /parsed
+// JSON as a local parse of the same text, line titles and values
+// included.
+func TestDecodedAnswersRenderLikeLocalParses(t *testing.T) {
+	recs, fileA, _ := models(t)
+	sample := recs[:24]
+	render := func(name string, rec *core.ParsedRecord) string {
+		b, err := json.Marshal(rdap.ParsedFromRecord(name, rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	ctx := context.Background()
+
+	a := open(t, Config{Model: fileA, Cluster: ClusterConfig{Listen: "127.0.0.1:0", ID: "a"}})
+	b := open(t, Config{Model: fileA, Cluster: ClusterConfig{
+		Listen: "127.0.0.1:0", ID: "b", Peers: "a=" + a.Node.Status().Addr,
+	}})
+	a.Node.AddPeer("b", cluster.DialTCP(b.Node.Status().Addr))
+	for _, r := range sample {
+		got, err := a.Node.ParseDomain(ctx, r.Domain, r.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := render(r.Domain, got), render(r.Domain, a.Model.Parse(r.Text)); g != w {
+			t.Fatalf("%s via the cluster renders\n%s\nwant\n%s", r.Domain, g, w)
+		}
+	}
+	if a.Metrics.Counter("cluster.forwards").Value() == 0 {
+		t.Fatal("no sample domain is owned by the peer")
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range sample {
+		if err := st.Append(&store.Record{Domain: r.Domain, Text: r.Text, Parsed: a.Model.Parse(r.Text)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	warm := open(t, Config{Model: fileA, Store: dir})
+	for _, r := range sample {
+		got, err := warm.Serve.Parse(ctx, r.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := render(r.Domain, got), render(r.Domain, warm.Model.Parse(r.Text)); g != w {
+			t.Fatalf("%s after warm start renders\n%s\nwant\n%s", r.Domain, g, w)
+		}
+	}
+	if st := warm.Serve.Stats(); st.Preloads == 0 || st.Hits != uint64(len(sample)) {
+		t.Fatalf("warm start served %d of %d from %d preloads", st.Hits, len(sample), st.Preloads)
 	}
 }
 

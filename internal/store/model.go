@@ -107,8 +107,7 @@ func StatModel(path string) (ModelInfo, error) {
 // format: header (magic, format version, both feature dimensions,
 // payload CRC32C and length) followed by the payload. It is the one
 // encoder every artifact goes through — SaveModel writes its bytes to
-// disk, a retrain publishes them straight into the model registry, and
-// a daemon that trains at startup opens its model from them.
+// disk, and a daemon that trains at startup opens its model from them.
 func EncodeModel(p *core.Parser) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Write(make([]byte, modelHeaderLen))

@@ -160,6 +160,17 @@ func buildLine(raw string, opts Options) Line {
 	return ln
 }
 
+// Resplit re-derives every line's Title, Value and HasSep from its Raw
+// text, exactly as Tokenize does. The record codec (internal/store)
+// keeps only Raw, so a decoded record that is served again — a
+// forwarded cluster answer, a warm-start preload — is resplit first.
+func Resplit(lines []Line) {
+	for i := range lines {
+		ln := &lines[i]
+		ln.Title, ln.Value, ln.HasSep = SplitTitleValue(strings.TrimSpace(ln.Raw))
+	}
+}
+
 // SplitTitleValue finds the first separator in a trimmed line and splits it
 // into a title and value. Separators, per §3.3 and §4.2 of the paper, are
 // colons, tabs, and ellipses (runs of two or more dots); a colon that is
