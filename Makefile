@@ -86,7 +86,8 @@ importcheck:
 # 30%; widen with BENCH_TOL=0.5 on noisy machines.
 benchcheck:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
-	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$' -benchtime 200x -count 3 ./internal/serve . && \
+	( $(GO) test -run '^$$' -bench 'BenchmarkPosterior$$|BenchmarkServeHot$$|BenchmarkTokenizeRecord$$|BenchmarkParseRecord$$' -benchtime 200x -count 3 ./internal/serve . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkTokenize$$|BenchmarkTokenizeReference$$' -benchtime 2000x -count 3 ./internal/tokenize && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStoreAppend$$|BenchmarkStoreScan$$' -benchtime 4096x -count 3 ./internal/store && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkHotSwap$$|BenchmarkParseDuringSwap$$' -benchtime 4096x -count 3 ./internal/lifecycle && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTiered' -benchtime 200x -count 3 ./internal/tiered && \
@@ -97,14 +98,18 @@ benchcheck:
 	  | /tmp/benchcheck BENCH_serve.json BENCH_inference.json BENCH_store.json BENCH_lifecycle.json BENCH_tiered.json BENCH_cluster.json BENCH_query.json BENCH_consistency.json BENCH_modelreg.json
 
 # fuzz-smoke: replay the checked-in seed corpora and fuzz the record
-# decoder briefly. Not part of verify; run before touching encoding.go.
+# decoder, the index decoder, the normalizer and the tokenizer (against
+# its reference) briefly. Not part of verify; run before touching
+# encoding.go or internal/tokenize.
 fuzz-smoke:
 	$(GO) test -run TestFuzzSeeds ./internal/store/ ./internal/query/
 	$(GO) test -run TestFuzzSeedsAsRegressions ./internal/norm/
+	$(GO) test -run FuzzTokenizeMatchesReference ./internal/tokenize/
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzFrameScan -fuzztime 10s ./internal/store/
 	$(GO) test -run '^$$' -fuzz FuzzIndexDecode -fuzztime 10s ./internal/query/
 	$(GO) test -run '^$$' -fuzz FuzzNorm -fuzztime 10s ./internal/norm/
+	$(GO) test -run '^$$' -fuzz FuzzTokenizeMatchesReference -fuzztime 10s ./internal/tokenize/
 
 # query-diff: the differential gate for the query engine. A randomized
 # store (fresh seed daily in CI) is queried with every supported

@@ -142,43 +142,106 @@ const maxScoreCacheEntries = 1 << 13
 // scoreEntry caches the state and transition score rows of one line shape.
 // Entries are immutable once published.
 type scoreEntry struct {
+	sig   uint64
 	obs   []int
 	state []float64 // n
 	trans []float64 // n*n
 }
 
-// scoreCache memoizes score rows across records for a fixed θ. Reads are
-// lock-free (sync.Map); a hash collision (different obs, same signature)
-// is treated as a miss so correctness never depends on hash quality.
+// scoreTable is the open-addressed index of a scoreCache. It has twice
+// as many slots as the cache holds entries, so a probe always reaches
+// an empty slot.
+type scoreTable [2 * maxScoreCacheEntries]atomic.Pointer[scoreEntry]
+
+// Slab sizes for scoreCache: entries and their rows are carved from
+// shared slabs, so a cold cache filling up costs a few allocations per
+// hundred line shapes instead of several per shape.
+const (
+	entrySlab = 256
+	intSlab   = 4096
+	floatSlab = 8192
+)
+
+// scoreCache memoizes score rows across records for a fixed θ. Reads
+// are lock-free: a linear probe of the table from the signature, over
+// atomically published entries. Inserts are serialized by mu, which
+// also guards the slabs. A hash collision (different obs, same
+// signature) is treated as a miss so correctness never depends on hash
+// quality. Entries are never removed; a θ change replaces the cache.
 type scoreCache struct {
-	entries sync.Map // uint64 -> *scoreEntry
-	count   atomic.Int64
+	table atomic.Pointer[scoreTable] // nil until the first insert
+	count atomic.Int64
+
+	mu      sync.Mutex
+	entries []scoreEntry
+	ints    []int
+	floats  []float64
 }
 
 func (c *scoreCache) lookup(sig uint64, obs []int) (*scoreEntry, bool) {
-	v, ok := c.entries.Load(sig)
-	if !ok {
+	tab := c.table.Load()
+	if tab == nil {
 		return nil, false
 	}
-	e := v.(*scoreEntry)
-	if !obsEqual(e.obs, obs) {
-		return nil, false
+	for i := sig; ; i++ {
+		e := tab[i%uint64(len(tab))].Load()
+		if e == nil {
+			return nil, false
+		}
+		if e.sig == sig {
+			if !obsEqual(e.obs, obs) {
+				return nil, false
+			}
+			return e, true
+		}
 	}
-	return e, true
 }
 
 func (c *scoreCache) insert(sig uint64, obs []int, state, trans []float64) {
 	if c.count.Load() >= maxScoreCacheEntries {
 		return
 	}
-	e := &scoreEntry{
-		obs:   append([]int(nil), obs...),
-		state: append([]float64(nil), state...),
-		trans: append([]float64(nil), trans...),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.count.Load() >= maxScoreCacheEntries {
+		return
 	}
-	if _, loaded := c.entries.LoadOrStore(sig, e); !loaded {
-		c.count.Add(1)
+	tab := c.table.Load()
+	if tab == nil {
+		tab = new(scoreTable)
+		c.table.Store(tab)
 	}
+	i := sig % uint64(len(tab))
+	for e := tab[i].Load(); e != nil; e = tab[i].Load() {
+		if e.sig == sig {
+			return // the first entry for a signature wins
+		}
+		i = (i + 1) % uint64(len(tab))
+	}
+	if len(c.entries) == cap(c.entries) {
+		c.entries = make([]scoreEntry, 0, entrySlab)
+	}
+	c.entries = append(c.entries, scoreEntry{
+		sig:   sig,
+		obs:   carve(&c.ints, obs, intSlab),
+		state: carve(&c.floats, state, floatSlab),
+		trans: carve(&c.floats, trans, floatSlab),
+	})
+	tab[i].Store(&c.entries[len(c.entries)-1])
+	c.count.Add(1)
+}
+
+// carve copies src into the free tail of *slab, first replacing the slab
+// with a fresh one of at least size elements when src does not fit, and
+// returns the copy capped at its length. A replaced slab is never
+// written again, so copies carved from it stay valid.
+func carve[T any](slab *[]T, src []T, size int) []T {
+	if cap(*slab)-len(*slab) < len(src) {
+		*slab = make([]T, 0, max(size, len(src)))
+	}
+	n := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[n:len(*slab):len(*slab)]
 }
 
 // curCache returns the cache valid for the model's current θ.

@@ -3,6 +3,7 @@ package crf
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/mathx"
@@ -513,5 +514,55 @@ func TestScoreCacheCapBoundsInsertions(t *testing.T) {
 	}
 	if got := c.count.Load(); got > maxScoreCacheEntries {
 		t.Fatalf("cache grew to %d entries, cap is %d", got, maxScoreCacheEntries)
+	}
+}
+
+// TestScoreCacheConcurrent races inserts against lookups of the same
+// signatures; every hit must return the rows inserted for its shape.
+// Run under -race it also checks the lock-free publication.
+func TestScoreCacheConcurrent(t *testing.T) {
+	c := new(scoreCache)
+	const shapes = 2000
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < shapes; k++ {
+				i := (k*7 + g*131) % shapes
+				obs := []int{i, i + 1}
+				sig := obsSignature(obs)
+				if e, ok := c.lookup(sig, obs); ok {
+					if e.state[0] != float64(i) || e.trans[1] != float64(-i) {
+						t.Errorf("shape %d: got rows %v %v", i, e.state, e.trans)
+						return
+					}
+					continue
+				}
+				c.insert(sig, obs, []float64{float64(i)}, []float64{0, float64(-i)})
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := c.count.Load(); got != shapes {
+		t.Errorf("cache holds %d entries, want %d", got, shapes)
+	}
+}
+
+// TestScoreCacheInsertAllocs checks that filling a cold cache allocates
+// per slab, not per line shape: the cold-cache parse of a survey record
+// inserts a score entry for most of its lines.
+func TestScoreCacheInsertAllocs(t *testing.T) {
+	c := new(scoreCache)
+	state, trans := make([]float64, 12), make([]float64, 144)
+	obs := make([]int, 20)
+	next := uint64(0)
+	allocs := testing.AllocsPerRun(4000, func() {
+		next++
+		obs[0] = int(next)
+		c.insert(obsSignature(obs), obs, state, trans)
+	})
+	if allocs > 0.1 {
+		t.Errorf("insert allocates %.3f/op, want <= 0.1", allocs)
 	}
 }

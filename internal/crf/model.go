@@ -195,11 +195,19 @@ func (m *Model) SetTheta(theta []float64) error {
 }
 
 // MapLines converts tokenized lines into an Instance using the model's
-// dictionary. Unknown observations are dropped.
+// dictionary. Unknown observations are dropped. Every line's ids are
+// carved from one backing array, each capped at its own length.
 func (m *Model) MapLines(lines []tokenize.Line) Instance {
+	n := 0
+	for _, ln := range lines {
+		n += len(ln.Obs)
+	}
+	ids := make([]int, 0, n)
 	obs := make([][]int, len(lines))
 	for i, ln := range lines {
-		obs[i] = m.dict.MapLine(ln)
+		start := len(ids)
+		ids = m.dict.AppendIDs(ids, ln)
+		obs[i] = ids[start:len(ids):len(ids)]
 	}
 	return Instance{Obs: obs}
 }

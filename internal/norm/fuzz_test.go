@@ -34,6 +34,7 @@ func fuzzNormSeeds() []string {
 		"clientTransferProhibited https://icann.org/epp#clientTransferProhibited",
 		"United States of America",
 		"....",
+		"0 .", // trailing space before the root dot: Host must fold both
 		"\x00\xff\xfe",
 		"9999-99-99",
 		"日本語: テスト",

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"repro/internal/identity"
 )
@@ -118,10 +119,11 @@ func Email(s string) string {
 
 // Host folds a hostname (nameserver, WHOIS server): trimmed,
 // ASCII-lowercased, trailing dots removed (the DNS root label is
-// presentation noise).
+// presentation noise). Trailing dots and spaces go together, in any
+// order ("0 ." folds to "0"), so folding is idempotent.
 func Host(s string) string {
 	s = strings.ToLower(strings.TrimSpace(s))
-	return strings.TrimRight(s, ".")
+	return strings.TrimRightFunc(s, func(r rune) bool { return r == '.' || unicode.IsSpace(r) })
 }
 
 // Hosts folds a hostname list into a sorted, deduplicated set — the

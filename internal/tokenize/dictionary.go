@@ -43,7 +43,10 @@ func BuildDictionary(records [][]Line, minCount int) *Dictionary {
 	keys := make([]string, 0, len(counts))
 	for k, c := range counts {
 		if c >= minCount || isClosedClass(k) {
-			keys = append(keys, k)
+			// A word observation is carved from its record's arena;
+			// a copy keeps the dictionary from pinning every training
+			// record for as long as the model lives.
+			keys = append(keys, strings.Clone(k))
 		}
 	}
 	sort.Strings(keys)
@@ -81,16 +84,16 @@ func (d *Dictionary) Name(id int) string { return d.names[id] }
 // Count returns the training-set frequency recorded for id.
 func (d *Dictionary) Count(id int) int { return d.counts[id] }
 
-// MapLine converts a line's observations to dictionary ids, dropping
-// unknown observations (the CRF simply has no features for them).
-func (d *Dictionary) MapLine(ln Line) []int {
-	out := make([]int, 0, len(ln.Obs))
+// AppendIDs appends the dictionary ids of a line's observations to dst,
+// dropping unknown observations (the CRF simply has no features for
+// them), and returns the extended slice.
+func (d *Dictionary) AppendIDs(dst []int, ln Line) []int {
 	for _, o := range ln.Obs {
 		if id, ok := d.ids[o]; ok {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // WriteTo serializes the dictionary as "count\tname" lines.

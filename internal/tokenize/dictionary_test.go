@@ -2,9 +2,14 @@ package tokenize
 
 import (
 	"bytes"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/synth"
 )
 
 func linesFor(obs ...string) [][]Line {
@@ -66,7 +71,7 @@ func TestDictionaryCounts(t *testing.T) {
 
 func TestMapLineDropsUnknown(t *testing.T) {
 	d := BuildDictionary(linesFor("known"), 1)
-	ids := d.MapLine(Line{Obs: []string{"known", "unknown"}})
+	ids := d.AppendIDs(nil, Line{Obs: []string{"known", "unknown"}})
 	if len(ids) != 1 {
 		t.Fatalf("got %d ids, want 1", len(ids))
 	}
@@ -155,4 +160,47 @@ func TestBuildDictionaryMinCountFloor(t *testing.T) {
 	if _, ok := d.ID("x"); !ok {
 		t.Error("minCount 0 should behave as 1")
 	}
+}
+
+// TestBuildDictionaryDoesNotPinRecords checks that no dictionary name
+// shares memory with a training line's observations: the names are
+// copies, so a trained model does not keep every training record's
+// arena alive.
+func TestBuildDictionaryDoesNotPinRecords(t *testing.T) {
+	var records [][]Line
+	for _, d := range synth.Generate(synth.Config{N: 40, Seed: 14}) {
+		records = append(records, Tokenize(d.Render().Text, Options{}))
+	}
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	for _, rec := range records {
+		for _, ln := range rec {
+			for _, o := range ln.Obs {
+				p := uintptr(unsafe.Pointer(unsafe.StringData(o)))
+				spans = append(spans, span{p, p + uintptr(len(o))})
+			}
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	// reach[i] is the highest end among spans[:i+1].
+	reach := make([]uintptr, len(spans))
+	for i, sp := range spans {
+		reach[i] = sp.hi
+		if i > 0 && reach[i-1] > sp.hi {
+			reach[i] = reach[i-1]
+		}
+	}
+	d := BuildDictionary(records, 1)
+	for id := 0; id < d.Len(); id++ {
+		name := d.Name(id)
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(name)))
+		hi := lo + uintptr(len(name))
+		// spans[:k] start before name ends; one of them overlaps name
+		// if it also ends after name starts.
+		k := sort.Search(len(spans), func(i int) bool { return spans[i].lo >= hi })
+		if k > 0 && reach[k-1] > lo {
+			t.Fatalf("dictionary name %q aliases a training observation", name)
+		}
+	}
+	runtime.KeepAlive(records)
 }

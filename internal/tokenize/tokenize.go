@@ -23,6 +23,8 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
+	"unsafe"
 )
 
 // Marker observation strings shared with the feature templates.
@@ -77,88 +79,199 @@ type Line struct {
 }
 
 // Tokenize splits text into retained lines with observations attached.
+//
+// A record's observations share two allocations. Every word observation
+// is lowercased and suffixed straight into one byte arena and carved out
+// of it as a string; every line's Obs is carved from one []string backing
+// array, capped at its own length so that appending to a line copies it
+// rather than overwriting the next line. Marker and class observations
+// are the package constants.
 func Tokenize(text string, opts Options) []Line {
-	rawLines := strings.Split(text, "\n")
-	out := make([]Line, 0, len(rawLines))
+	t := tokenizer{
+		opts: opts,
+		// Sized from the text: WHOIS records average one observation per
+		// four bytes and a little more than one arena byte per text byte
+		// (measured on the synth populations). A record outside those
+		// ratios grows the buffer; strings already carved stay valid.
+		obs:   make([]string, 0, len(text)/4+16),
+		arena: make([]byte, 0, len(text)+len(text)/4),
+	}
+	out := make([]Line, 0, strings.Count(text, "\n")+1)
 	pendingNL := false
 	prevIndent := -1
-	for _, raw := range rawLines {
+	for rest, more := text, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
 		raw = strings.TrimRight(raw, "\r")
-		if !hasAlnum(raw) {
+		if !HasAlnum(raw) {
 			pendingNL = true
 			continue
 		}
-		ln := buildLine(raw, opts)
+		start := len(t.obs)
+		ln := t.line(raw)
 		if !opts.DisableLayout {
 			if pendingNL {
-				ln.Obs = append(ln.Obs, MarkNL)
+				t.obs = append(t.obs, MarkNL)
 			}
 			if len(out) == 0 {
-				ln.Obs = append(ln.Obs, MarkBOL)
+				t.obs = append(t.obs, MarkBOL)
 			}
 			indent := leadingSpace(raw)
 			if prevIndent >= 0 {
 				if indent < prevIndent {
-					ln.Obs = append(ln.Obs, MarkSHL)
+					t.obs = append(t.obs, MarkSHL)
 				} else if indent > prevIndent {
-					ln.Obs = append(ln.Obs, MarkSHR)
+					t.obs = append(t.obs, MarkSHR)
 				}
 			}
 			prevIndent = indent
 		}
 		pendingNL = false
+		ln.Obs = t.obs[start:len(t.obs):len(t.obs)]
 		out = append(out, ln)
 	}
-	if len(out) > 0 {
+	if len(out) > 0 && !opts.DisableLayout {
+		// The last line's observations end the backing array, so the
+		// EOL marker extends them in place.
 		last := &out[len(out)-1]
-		if !opts.DisableLayout {
-			last.Obs = append(last.Obs, MarkEOL)
-		}
+		start := len(t.obs) - len(last.Obs)
+		t.obs = append(t.obs, MarkEOL)
+		last.Obs = t.obs[start:len(t.obs):len(t.obs)]
 	}
 	return out
 }
 
-func buildLine(raw string, opts Options) Line {
+// tokenizer holds one record's observation storage while Tokenize runs.
+type tokenizer struct {
+	opts Options
+	// obs is the backing array every line's Obs is carved from.
+	obs []string
+	// arena holds the bytes of every word observation back to back.
+	// Bytes are only ever appended, never rewritten, so a string carved
+	// from it stays immutable even after a later append moves the
+	// buffer.
+	arena []byte
+}
+
+// line splits one retained line and appends its separator, symbol, word
+// and class observations to t.obs; Tokenize adds the markers that depend
+// on neighbouring lines.
+func (t *tokenizer) line(raw string) Line {
 	trimmed := strings.TrimSpace(raw)
 	title, value, hasSep := SplitTitleValue(trimmed)
-	ln := Line{Raw: raw, Title: title, Value: value, HasSep: hasSep}
-	// Most lines produce a handful of word observations plus a few markers
-	// and classes; one right-sized allocation beats append's doubling.
-	ln.Obs = make([]string, 0, 16)
-
-	if !opts.DisableLayout {
+	if !t.opts.DisableLayout {
 		if hasSep {
-			ln.Obs = append(ln.Obs, MarkSEP)
+			t.obs = append(t.obs, MarkSEP)
 			if value == "" {
-				ln.Obs = append(ln.Obs, MarkNoV)
+				t.obs = append(t.obs, MarkNoV)
 			}
 		}
 		if startsWithSymbol(trimmed) {
-			ln.Obs = append(ln.Obs, MarkSYM)
+			t.obs = append(t.obs, MarkSYM)
 		}
 	}
+	// Without a separator the title is empty and the value is the whole
+	// trimmed line, so every word is a value word.
+	t.words(title, "@T")
+	t.words(value, "@V")
+	if !t.opts.DisableClasses {
+		t.classes(value)
+	}
+	return Line{Raw: raw, Title: title, Value: value, HasSep: hasSep}
+}
 
-	appendWords := func(text, suffix string) {
-		for _, w := range Words(text) {
-			if opts.DisableTitleValue {
-				ln.Obs = append(ln.Obs, w)
-			} else {
-				ln.Obs = append(ln.Obs, w+suffix)
+// words appends one observation per word of s: the word lowercased as
+// strings.ToLower would, then suffix unless title/value annotation is
+// disabled. A word is a maximal run of letters and digits.
+func (t *tokenizer) words(s, suffix string) {
+	if t.opts.DisableTitleValue {
+		suffix = ""
+	}
+	for i := 0; i < len(s); {
+		if w, ok := wordRune(s[i:]); !ok {
+			i += w
+			continue
+		}
+		start := len(t.arena)
+		for i < len(s) {
+			if c := s[i]; c < utf8.RuneSelf {
+				if !isASCIIAlnum(c) {
+					break
+				}
+				j := i + 1
+				for j < len(s) && s[j] < utf8.RuneSelf && isASCIIAlnum(s[j]) {
+					j++
+				}
+				k := len(t.arena)
+				t.arena = append(t.arena, s[i:j]...)
+				lowerASCII(t.arena[k:])
+				i = j
+				continue
+			}
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if !unicode.IsLetter(r) && !unicode.IsDigit(r) {
+				break
+			}
+			t.arena = utf8.AppendRune(t.arena, unicode.ToLower(r))
+			i += n
+		}
+		t.arena = append(t.arena, suffix...)
+		t.obs = append(t.obs, unsafe.String(&t.arena[start], len(t.arena)-start))
+	}
+}
+
+// classes appends the word-class observations of a line's value side,
+// each at most once, in the order their first field is seen.
+func (t *tokenizer) classes(value string) {
+	start := len(t.obs)
+	add := func(c string) {
+		for _, x := range t.obs[start:] {
+			if x == c {
+				return
 			}
 		}
+		t.obs = append(t.obs, c)
 	}
-	appendWords(title, "@T")
-	if hasSep {
-		appendWords(value, "@V")
-	} else {
-		appendWords(trimmed, "@V")
+	for i := 0; i < len(value); {
+		if isFieldSep(value[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(value) && !isFieldSep(value[j]) {
+			j++
+		}
+		f := strings.Trim(value[i:j], "()[]")
+		i = j
+		switch {
+		case isFiveDigit(f):
+			add(Cls5Digit)
+			add(ClsNum)
+		case isAllDigits(f):
+			add(ClsNum)
+			if len(f) == 4 && (strings.HasPrefix(f, "19") || strings.HasPrefix(f, "20")) {
+				add(ClsYear)
+			}
+		case looksEmail(f):
+			add(ClsEmail)
+		case looksURL(f):
+			add(ClsURL)
+		// Order matters among the digit-heavy classes: a date like
+		// 2015-02-27 and a dotted quad both pass the loose phone test.
+		case looksDate(f):
+			add(ClsDate)
+		case looksIP(f):
+			add(ClsIP)
+		case looksPhone(f):
+			add(ClsPhone)
+		case len(f) >= 2 && isAllUpperLetters(f):
+			add(ClsCaps)
+		}
 	}
-
-	if !opts.DisableClasses {
-		ln.Obs = append(ln.Obs, classes(value)...)
-	}
-	return ln
 }
+
+// isFieldSep reports whether c separates the fields classes inspects.
+func isFieldSep(c byte) bool { return c == ' ' || c == ',' || c == ';' }
 
 // Resplit re-derives every line's Title, Value and HasSep from its Raw
 // text, exactly as Tokenize does. The record codec (internal/store)
@@ -237,56 +350,20 @@ func isSchemeColon(s string, i int) bool {
 	return false
 }
 
-// Words splits text into lowercased alphanumeric words. Punctuation is
-// discarded; words keep interior digits (so "2015" and "ns1" survive).
-// Words are sliced out of text directly, so an already-lowercase word (the
-// common case in WHOIS values) costs no allocation beyond the slice.
-func Words(text string) []string {
-	var out []string
-	start := -1
-	needLower := false
-	flush := func(end int) {
-		if start >= 0 {
-			w := text[start:end]
-			if needLower {
-				w = strings.ToLower(w)
-			}
-			out = append(out, w)
-			start = -1
-			needLower = false
-		}
-	}
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-			if unicode.ToLower(r) != r {
-				needLower = true
-			}
-		} else {
-			flush(i)
-		}
-	}
-	flush(len(text))
-	return out
-}
-
-// CountWords reports how many words Words would return without
-// allocating the slice — the hot-path form for callers (the compiled
-// template matcher) that only need the count.
+// CountWords reports how many word observations Tokenize emits for
+// text, without emitting them — the form for callers (the compiled
+// template matcher, the header heuristics of the baseline parsers) that
+// only need the count.
 func CountWords(text string) int {
 	n := 0
 	in := false
-	for _, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if !in {
-				n++
-				in = true
-			}
-		} else {
-			in = false
+	for i := 0; i < len(text); {
+		w, ok := wordRune(text[i:])
+		if ok && !in {
+			n++
 		}
+		in = ok
+		i += w
 	}
 	return n
 }
@@ -296,15 +373,40 @@ func CountWords(text string) int {
 // line iterators (the compiled template matcher) retain exactly the
 // lines Tokenize would.
 func HasAlnum(s string) bool {
-	for _, r := range s {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+	for i := 0; i < len(s); {
+		w, ok := wordRune(s[i:])
+		if ok {
 			return true
 		}
+		i += w
 	}
 	return false
 }
 
-func hasAlnum(s string) bool { return HasAlnum(s) }
+// wordRune decodes the first rune of a non-empty s and reports its width
+// and whether it is a letter or digit, the runes words are made of.
+// Invalid UTF-8 decodes as a one-byte U+FFFD, which is neither.
+func wordRune(s string) (width int, ok bool) {
+	if c := s[0]; c < utf8.RuneSelf {
+		return 1, isASCIIAlnum(c)
+	}
+	r, w := utf8.DecodeRuneInString(s)
+	return w, unicode.IsLetter(r) || unicode.IsDigit(r)
+}
+
+// lowerASCII lowers the ASCII letters of b in place.
+func lowerASCII(b []byte) {
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+}
+
+// isASCIIAlnum is unicode.IsLetter || unicode.IsDigit on an ASCII byte.
+func isASCIIAlnum(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'z'
+}
 
 func leadingSpace(s string) int {
 	n := 0
@@ -335,49 +437,6 @@ func startsWithSymbol(s string) bool {
 	return false
 }
 
-// classes inspects the value side of a line and emits word-class
-// observations.
-func classes(value string) []string {
-	var out []string
-	add := func(c string) {
-		for _, x := range out {
-			if x == c {
-				return
-			}
-		}
-		out = append(out, c)
-	}
-	fields := strings.FieldsFunc(value, func(r rune) bool { return r == ' ' || r == ',' || r == ';' })
-	for _, f := range fields {
-		f = strings.Trim(f, "()[]")
-		switch {
-		case isFiveDigit(f):
-			add(Cls5Digit)
-			add(ClsNum)
-		case isAllDigits(f):
-			add(ClsNum)
-			if len(f) == 4 && (strings.HasPrefix(f, "19") || strings.HasPrefix(f, "20")) {
-				add(ClsYear)
-			}
-		case looksEmail(f):
-			add(ClsEmail)
-		case looksURL(f):
-			add(ClsURL)
-		// Order matters among the digit-heavy classes: a date like
-		// 2015-02-27 and a dotted quad both pass the loose phone test.
-		case looksDate(f):
-			add(ClsDate)
-		case looksIP(f):
-			add(ClsIP)
-		case looksPhone(f):
-			add(ClsPhone)
-		case len(f) >= 2 && isAllUpperLetters(f):
-			add(ClsCaps)
-		}
-	}
-	return out
-}
-
 func isFiveDigit(s string) bool { return len(s) == 5 && isAllDigits(s) }
 
 func isAllDigits(s string) bool {
@@ -406,9 +465,39 @@ func looksEmail(s string) bool {
 	return at > 0 && at < len(s)-1 && strings.Contains(s[at:], ".")
 }
 
+// looksURL accepts strings that start with http://, https:// or www.,
+// in any letter case.
 func looksURL(s string) bool {
-	ls := strings.ToLower(s)
-	return strings.HasPrefix(ls, "http://") || strings.HasPrefix(ls, "https://") || strings.HasPrefix(ls, "www.")
+	return hasLowerPrefix(s, "http://") || hasLowerPrefix(s, "https://") || hasLowerPrefix(s, "www.")
+}
+
+// hasLowerPrefix reports strings.HasPrefix(strings.ToLower(s), prefix)
+// for an ASCII prefix, without building the lowered string.
+func hasLowerPrefix(s, prefix string) bool {
+	for k := 0; k < len(prefix); k++ {
+		if s == "" {
+			return false
+		}
+		r, w := lowerRune(s)
+		if r != rune(prefix[k]) {
+			return false
+		}
+		s = s[w:]
+	}
+	return true
+}
+
+// lowerRune decodes the first rune of a non-empty s and lowers it as
+// strings.ToLower does. Invalid UTF-8 decodes as a one-byte U+FFFD.
+func lowerRune(s string) (r rune, width int) {
+	if c := s[0]; c < utf8.RuneSelf {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return rune(c), 1
+	}
+	r, width = utf8.DecodeRuneInString(s)
+	return unicode.ToLower(r), width
 }
 
 // looksPhone accepts digit strings with separators and an optional leading
@@ -429,43 +518,61 @@ func looksPhone(s string) bool {
 }
 
 // looksDate accepts common WHOIS date shapes: 2015-02-27, 27-feb-2015,
-// 2015/02/27, 02/27/2015, and ISO timestamps.
+// 2015/02/27, 02/27/2015, and ISO timestamps. Runes are judged after
+// lowering, so the two non-ASCII runes that lower to ASCII letters
+// (U+0130 to 'i', U+212A to 'k') count as letters.
 func looksDate(s string) bool {
-	s = strings.ToLower(s)
-	if t := strings.IndexByte(s, 't'); t > 0 && strings.Count(s[:t], "-") == 2 {
-		s = s[:t] // 2015-02-27t12:00:00z
-	}
-	seps := 0
-	digits := 0
-	letters := 0
-	for _, r := range s {
+	seps, digits, letters, dashes := 0, 0, 0, 0
+	sawT := false
+	for len(s) > 0 {
+		r, w := lowerRune(s)
+		if r == 't' && !sawT {
+			sawT = true
+			if digits+seps+letters > 0 && dashes == 2 {
+				break // 2015-02-27t12:00:00z: judge the date part alone
+			}
+		}
+		s = s[w:]
 		switch {
 		case r >= '0' && r <= '9':
 			digits++
 		case r == '-' || r == '/' || r == '.':
 			seps++
+			if r == '-' {
+				dashes++
+			}
 		case r >= 'a' && r <= 'z':
 			letters++
 		default:
 			return false
 		}
-	}
-	if seps != 2 || digits < 4 {
-		return false
-	}
-	return letters == 0 || letters == 3 // e.g. feb
-}
-
-// looksIP accepts dotted-quad IPv4 literals.
-func looksIP(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if !isAllDigits(p) || len(p) > 3 {
+		if seps > 2 || letters > 3 {
 			return false
 		}
 	}
-	return true
+	return seps == 2 && digits >= 4 && (letters == 0 || letters == 3) // e.g. feb
+}
+
+// looksIP accepts dotted-quad IPv4 literals: four runs of one to three
+// digits joined by three dots.
+func looksIP(s string) bool {
+	dots, run := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.':
+			if run == 0 {
+				return false
+			}
+			dots++
+			run = 0
+		case c >= '0' && c <= '9':
+			run++
+			if run > 3 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return dots == 3 && run > 0
 }

@@ -1,6 +1,7 @@
 package tokenize
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -77,22 +78,49 @@ func TestSplitTitleValueLeadingColonResidue(t *testing.T) {
 	}
 }
 
-func TestWords(t *testing.T) {
-	got := Words("Registrant Name: John-Smith 2015")
-	want := []string{"registrant", "name", "john", "smith", "2015"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("word %d: got %q, want %q", i, got[i], want[i])
+// valueWords returns the @V word observations of a line, suffix removed.
+func valueWords(ln Line) []string {
+	var out []string
+	for _, o := range ln.Obs {
+		if w, ok := strings.CutSuffix(o, "@V"); ok {
+			out = append(out, w)
 		}
+	}
+	return out
+}
+
+func TestWords(t *testing.T) {
+	text := "Registrant Name John-Smith 2015"
+	lines := Tokenize(text, Options{})
+	if len(lines) != 1 {
+		t.Fatalf("got %d lines, want 1", len(lines))
+	}
+	got := valueWords(lines[0])
+	want := []string{"registrant", "name", "john", "smith", "2015"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("@V words: got %v, want %v", got, want)
+	}
+	if n := CountWords(text); n != len(want) {
+		t.Errorf("CountWords = %d, want %d", n, len(want))
+	}
+	if n := CountWords("Registrant Name: John-Smith 2015"); n != len(want) {
+		t.Errorf("CountWords with a separator = %d, want %d", n, len(want))
 	}
 }
 
 func TestWordsEmpty(t *testing.T) {
-	if got := Words("  ...  "); len(got) != 0 {
-		t.Errorf("got %v, want empty", got)
+	if n := CountWords("  ...  "); n != 0 {
+		t.Errorf("CountWords = %d, want 0", n)
+	}
+	if lines := Tokenize("  ...  ", Options{}); len(lines) != 0 {
+		t.Errorf("wordless text retained %d lines", len(lines))
+	}
+	lines := Tokenize("Note: -- ...", Options{})
+	if len(lines) != 1 {
+		t.Fatalf("got %d lines, want 1", len(lines))
+	}
+	if got := valueWords(lines[0]); len(got) != 0 {
+		t.Errorf("wordless value: got @V words %v, want none", got)
 	}
 }
 
@@ -249,7 +277,7 @@ func TestTokenizeRetentionInvariant(t *testing.T) {
 		want := 0
 		for _, line := range strings.Split(text, "\n") {
 			line = strings.TrimRight(line, "\r")
-			if hasAlnum(line) {
+			if HasAlnum(line) {
 				want++
 			}
 		}
