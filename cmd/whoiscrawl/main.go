@@ -187,11 +187,7 @@ func main() {
 	if *outFile != "" {
 		log.Printf("wrote %d records to %s", written, *outFile)
 	}
-	log.Printf("final stats:")
-	if err := reg.WriteJSON(os.Stderr); err != nil {
-		log.Printf("stats dump failed: %v", err)
-	}
-	fmt.Fprintln(os.Stderr)
+	obs.WriteFinalStats(os.Stderr, reg)
 }
 
 // newSink streams crawled records into st. With a model it parses each

@@ -24,8 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -126,32 +124,17 @@ func main() {
 		len(eco.Servers), *dirFile, *zoneFile)
 	log.Printf("try: printf 'example.com\\r\\n' | nc %s", addr)
 
-	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		msrv := &http.Server{Handler: reg}
-		go func() { _ = msrv.Serve(ml) }()
-		defer msrv.Close()
-		log.Printf("metrics at http://%s/", ml.Addr())
+	stopMetrics, err := obs.ServeMetrics(*metricsAddr, reg)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopMetrics()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Printf("shutting down")
-	dumpStats(reg)
-}
-
-// dumpStats writes the final registry snapshot to stderr, one metric per
-// line — the end-of-run accounting for batch use and smoke tests.
-func dumpStats(reg *obs.Registry) {
-	log.Printf("final stats:")
-	if err := reg.WriteJSON(os.Stderr); err != nil {
-		log.Printf("stats dump failed: %v", err)
-	}
-	fmt.Fprintln(os.Stderr)
+	obs.WriteFinalStats(os.Stderr, reg)
 }
 
 func writeDirectory(path string, cluster *whoisd.Cluster) error {

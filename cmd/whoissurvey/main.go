@@ -41,8 +41,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
@@ -86,23 +84,12 @@ func main() {
 	// -metrics-addr exports it live (useful on long crawls); the final
 	// snapshot is dumped to stderr either way.
 	reg := obs.NewRegistry()
-	if *metricsAddr != "" {
-		ml, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		msrv := &http.Server{Handler: reg}
-		go func() { _ = msrv.Serve(ml) }()
-		defer msrv.Close()
-		log.Printf("metrics at http://%s/", ml.Addr())
+	stopMetrics, err := obs.ServeMetrics(*metricsAddr, reg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	defer func() {
-		log.Printf("final stats:")
-		if err := reg.WriteJSON(os.Stderr); err != nil {
-			log.Printf("stats dump failed: %v", err)
-		}
-		fmt.Fprintln(os.Stderr)
-	}()
+	defer stopMetrics()
+	defer obs.WriteFinalStats(os.Stderr, reg)
 
 	s := survey.New(nil)
 	showBlacklist := false

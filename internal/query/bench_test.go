@@ -12,7 +12,7 @@ import (
 // the shape where pruning should dominate.
 func benchStore(b *testing.B) (*store.Store, *Engine) {
 	b.Helper()
-	st := buildTestStoreSized(b, b.TempDir(), 16384, 1, false, 160<<10)
+	st := buildTestStoreSized(b, b.TempDir(), 16384, 1, 160<<10)
 	e := New(st, Options{Metrics: obs.NewRegistry()})
 	if _, err := e.BuildAll(); err != nil {
 		b.Fatal(err)

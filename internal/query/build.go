@@ -8,8 +8,9 @@ import (
 
 // Build derives the zone map and secondary index for one segment
 // snapshot in a single pass over its frames. The sidecars inherit the
-// snapshot's content fingerprint, so they self-invalidate when the
-// segment is later compacted, compressed, or otherwise rewritten.
+// snapshot's content fingerprint, so a sidecar that does not describe
+// these exact bytes (copied from another segment, or left behind by a
+// store rebuilt under the same ids) is detected as stale.
 func Build(r *store.SegmentReader) (*ZoneMap, *Index, error) {
 	info := r.Info()
 	fp, err := r.Fingerprint()
@@ -29,49 +30,47 @@ func Build(r *store.SegmentReader) (*ZoneMap, *Index, error) {
 	countries := make(map[string]bool)
 
 	var n uint64
-	err = r.Frames(func(off int64, payloads [][]byte) error {
-		for i, payload := range payloads {
-			rec, err := store.DecodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			n++
-			f := &rec.Facts
-			pt := Posting{Off: off, Idx: i}
+	err = r.Frames(func(off int64, payload []byte) error {
+		rec, err := store.DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		n++
+		f := &rec.Facts
+		pt := Posting(off)
 
-			if !z.RegOverflow {
-				if !regs[f.Registrar] && len(regs) >= maxZoneKeys {
-					z.RegOverflow = true
-				} else {
-					regs[f.Registrar] = true
-				}
-			}
-			if !z.CountryOverflow {
-				if !countries[f.Country] && len(countries) >= maxZoneKeys {
-					z.CountryOverflow = true
-				} else {
-					countries[f.Country] = true
-				}
-			}
-			if f.CreatedYear > 0 {
-				if z.MaxYear == 0 || f.CreatedYear < z.MinYear {
-					z.MinYear = f.CreatedYear
-				}
-				if f.CreatedYear > z.MaxYear {
-					z.MaxYear = f.CreatedYear
-				}
+		if !z.RegOverflow {
+			if !regs[f.Registrar] && len(regs) >= maxZoneKeys {
+				z.RegOverflow = true
 			} else {
-				z.YearZero = true
+				regs[f.Registrar] = true
 			}
+		}
+		if !z.CountryOverflow {
+			if !countries[f.Country] && len(countries) >= maxZoneKeys {
+				z.CountryOverflow = true
+			} else {
+				countries[f.Country] = true
+			}
+		}
+		if f.CreatedYear > 0 {
+			if z.MaxYear == 0 || f.CreatedYear < z.MinYear {
+				z.MinYear = f.CreatedYear
+			}
+			if f.CreatedYear > z.MaxYear {
+				z.MaxYear = f.CreatedYear
+			}
+		} else {
+			z.YearZero = true
+		}
 
-			x.Registrar = addPosting(x.Registrar, f.Registrar, pt)
-			x.Country = addPosting(x.Country, f.Country, pt)
-			if x.Year != nil {
-				if _, ok := x.Year[f.CreatedYear]; !ok && len(x.Year) >= maxIndexKeys {
-					x.Year = nil
-				} else {
-					x.Year[f.CreatedYear] = append(x.Year[f.CreatedYear], pt)
-				}
+		x.Registrar = addPosting(x.Registrar, f.Registrar, pt)
+		x.Country = addPosting(x.Country, f.Country, pt)
+		if x.Year != nil {
+			if _, ok := x.Year[f.CreatedYear]; !ok && len(x.Year) >= maxIndexKeys {
+				x.Year = nil
+			} else {
+				x.Year[f.CreatedYear] = append(x.Year[f.CreatedYear], pt)
 			}
 		}
 		return nil

@@ -13,11 +13,11 @@ func fuzzIndexSeeds() [][]byte {
 	x := &Index{
 		SegID: 3, Fingerprint: 0x01020304, Records: 9,
 		Registrar: map[string][]Posting{
-			"":     {{Off: 5, Idx: 0}},
-			"eNom": {{Off: 5, Idx: 1}, {Off: 812, Idx: 0}},
+			"":     {5},
+			"eNom": {61, 812},
 		},
-		Country: map[string][]Posting{"China": {{Off: 5, Idx: 2}}},
-		Year:    map[int][]Posting{0: {{Off: 5, Idx: 0}}, 2014: {{Off: 812, Idx: 0}}},
+		Country: map[string][]Posting{"China": {117}},
+		Year:    map[int][]Posting{0: {5}, 2014: {812}},
 	}
 	idx := encodeIndex(x)
 	z := &ZoneMap{

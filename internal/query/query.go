@@ -1,13 +1,10 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,9 +39,9 @@ type Engine struct {
 
 	// cache holds decoded sidecars across queries, keyed by segment id
 	// and guarded by the fingerprint: every query still fingerprints the
-	// live segment, so a hit can never serve a rewritten segment's stale
-	// view — it only skips re-reading and re-decoding bytes that were
-	// already validated against this exact fingerprint. Entries are
+	// live segment, so a hit can never serve another segment's view —
+	// it only skips re-reading and re-decoding bytes that were already
+	// validated against this exact fingerprint. Entries are
 	// immutable once published; updates replace the whole entry.
 	cacheMu sync.Mutex
 	cache   map[uint64]*cacheEnt
@@ -79,17 +76,6 @@ func (e *Engine) cachePut(id uint64, fp uint32, z *ZoneMap, x *Index) {
 		}
 	}
 	e.cache[id] = &cacheEnt{fp: fp, z: z, x: x}
-}
-
-// cachePrune drops entries for segments compaction removed.
-func (e *Engine) cachePrune(live map[uint64]bool) {
-	e.cacheMu.Lock()
-	defer e.cacheMu.Unlock()
-	for id := range e.cache {
-		if !live[id] {
-			delete(e.cache, id)
-		}
-	}
 }
 
 type engineMetrics struct {
@@ -131,25 +117,21 @@ func New(st *store.Store, opts Options) *Engine {
 	return e
 }
 
-// AutoBuild hooks segment seals (rotation, compression, compaction) so
-// sidecars are derived in the background the moment a segment's bytes
-// stop moving. Errors are deliberately dropped: a failed build costs a
-// future full scan, nothing more.
+// AutoBuild hooks segment seals so sidecars are derived in the
+// background the moment a segment's bytes stop moving. Errors are
+// deliberately dropped: a failed build costs a future full scan,
+// nothing more.
 func (e *Engine) AutoBuild() {
 	e.st.SetOnSeal(func(id uint64) { _, _ = e.BuildSegment(id) })
 }
 
 // BuildSegment (re)derives the sidecars for segment id unless fresh ones
-// already exist. Reports whether it built, and treats a segment that was
-// compacted away in the meantime as a no-op.
+// already exist. Reports whether it built.
 func (e *Engine) BuildSegment(id uint64) (bool, error) {
 	e.buildMu.Lock()
 	defer e.buildMu.Unlock()
 	r, err := e.st.OpenSegment(id)
 	if err != nil {
-		if errors.Is(err, store.ErrSegmentCompacted) {
-			return false, nil
-		}
 		return false, err
 	}
 	defer r.Close()
@@ -183,13 +165,10 @@ func sidecarFresh(segID uint64, fp uint32, records uint64, info store.SegmentInf
 }
 
 // BuildAll derives sidecars for every sealed segment that lacks fresh
-// ones and removes orphaned sidecars of segments compaction dropped.
-// Returns how many segments were (re)built.
+// ones. Returns how many segments were (re)built.
 func (e *Engine) BuildAll() (int, error) {
 	built := 0
-	live := make(map[uint64]bool)
 	for _, info := range e.st.SegmentInfos() {
-		live[info.ID] = true
 		if !info.Sealed {
 			continue
 		}
@@ -201,34 +180,7 @@ func (e *Engine) BuildAll() (int, error) {
 			built++
 		}
 	}
-	e.removeOrphans(live)
 	return built, nil
-}
-
-// removeOrphans deletes sidecars whose segment no longer exists.
-func (e *Engine) removeOrphans(live map[uint64]bool) {
-	entries, err := os.ReadDir(e.st.Dir())
-	if err != nil {
-		return
-	}
-	for _, ent := range entries {
-		name := ent.Name()
-		var base string
-		switch {
-		case strings.HasSuffix(name, ".zm"):
-			base = strings.TrimSuffix(name, ".zm")
-		case strings.HasSuffix(name, ".idx"):
-			base = strings.TrimSuffix(name, ".idx")
-		default:
-			continue
-		}
-		id, err := strconv.ParseUint(base, 10, 64)
-		if err != nil || live[id] {
-			continue
-		}
-		_ = os.Remove(ZonePath(e.st.Dir(), id))
-		_ = os.Remove(IndexPath(e.st.Dir(), id))
-	}
 }
 
 // Stats describes how one query was executed.
@@ -276,12 +228,6 @@ func (e *Engine) Scan(p Pred, fn func(rec *store.Record) error) (Stats, error) {
 		}
 	}()
 	stats.Segments = len(readers)
-
-	live := make(map[uint64]bool, len(readers))
-	for _, r := range readers {
-		live[r.Info().ID] = true
-	}
-	e.cachePrune(live)
 
 	results := make([]segResult, len(readers))
 	sem := make(chan struct{}, e.opts.Workers)
@@ -362,9 +308,9 @@ func (e *Engine) scanSegment(r *store.SegmentReader, p Pred) segResult {
 				return e.fullScanSegment(r, p, res)
 			}
 			if z, x, err = e.rebuild(r, info); err != nil {
-				// A segment swapped out mid-query (compaction won the
-				// race): the fd snapshot is still perfectly readable —
-				// scan it.
+				// The sidecars could not be written (a read-only or
+				// full store directory, say): the snapshot is still
+				// perfectly readable — scan it.
 				res.stats.Fallbacks++
 				return e.fullScanSegment(r, p, res)
 			}
@@ -465,16 +411,14 @@ func (e *Engine) rebuild(r *store.SegmentReader, info store.SegmentInfo) (*ZoneM
 
 func (e *Engine) fullScanSegment(r *store.SegmentReader, p Pred, res segResult) segResult {
 	res.stats.FullScanned++
-	err := r.Frames(func(_ int64, payloads [][]byte) error {
-		for _, payload := range payloads {
-			rec, err := store.DecodeRecord(payload)
-			if err != nil {
-				return err
-			}
-			res.stats.RecordsRead++
-			if p.Match(&rec.Facts) {
-				res.matches = append(res.matches, rec)
-			}
+	err := r.Frames(func(_ int64, payload []byte) error {
+		rec, err := store.DecodeRecord(payload)
+		if err != nil {
+			return err
+		}
+		res.stats.RecordsRead++
+		if p.Match(&rec.Facts) {
+			res.matches = append(res.matches, rec)
 		}
 		return nil
 	})
@@ -524,8 +468,8 @@ func planPostings(x *Index, p Pred) ([]Posting, bool) {
 }
 
 // unionSince merges the postings of every year >= since back into
-// (Off, Idx) order. Lists for distinct years are disjoint, so a plain
-// merge-sort suffices.
+// offset order. Lists for distinct years are disjoint, so a plain sort
+// suffices.
 func unionSince(years map[int][]Posting, since int) []Posting {
 	var out []Posting
 	for y, ps := range years {
@@ -533,12 +477,12 @@ func unionSince(years map[int][]Posting, since int) []Posting {
 			out = append(out, ps...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
+	slices.Sort(out)
 	return out
 }
 
 // unionRange merges the postings of every year in [lo, hi] back into
-// (Off, Idx) order — the year-range predicate's seek path.
+// offset order — the year-range predicate's seek path.
 func unionRange(years map[int][]Posting, lo, hi int) []Posting {
 	var out []Posting
 	for y, ps := range years {
@@ -546,7 +490,7 @@ func unionRange(years map[int][]Posting, lo, hi int) []Posting {
 			out = append(out, ps...)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return postingLess(out[i], out[j]) })
+	slices.Sort(out)
 	return out
 }
 
@@ -559,7 +503,7 @@ func intersectPostings(a, b []Posting) []Posting {
 			out = append(out, a[i])
 			i++
 			j++
-		case postingLess(a[i], b[j]):
+		case a[i] < b[j]:
 			i++
 		default:
 			j++
@@ -568,37 +512,27 @@ func intersectPostings(a, b []Posting) []Posting {
 	return out
 }
 
-// seekPostings reads exactly the frames the postings name, decoding only
-// the named records and re-checking each against p. Any inconsistency —
-// bad offset, bad frame, index out of range, undecodable record — aborts
-// with an error so the caller discards everything and full-scans; a
-// partial result must never leak out as a complete one.
+// seekPostings reads exactly the frames the postings name, re-checking
+// each record against p. Any inconsistency — bad offset, bad frame,
+// undecodable record — aborts with an error so the caller discards
+// everything and full-scans; a partial result must never leak out as a
+// complete one.
 func seekPostings(r *store.SegmentReader, postings []Posting, p Pred) ([]*store.Record, uint64, error) {
 	var matches []*store.Record
 	var read uint64
-	for i := 0; i < len(postings); {
-		j := i
-		for j < len(postings) && postings[j].Off == postings[i].Off {
-			j++
-		}
-		payloads, err := r.FrameAt(postings[i].Off)
+	for _, pt := range postings {
+		payload, err := r.FrameAt(int64(pt))
 		if err != nil {
 			return nil, read, err
 		}
-		for _, pt := range postings[i:j] {
-			if pt.Idx < 0 || pt.Idx >= len(payloads) {
-				return nil, read, fmt.Errorf("query: posting idx %d outside frame of %d records", pt.Idx, len(payloads))
-			}
-			rec, err := store.DecodeRecord(payloads[pt.Idx])
-			if err != nil {
-				return nil, read, err
-			}
-			read++
-			if p.Match(&rec.Facts) {
-				matches = append(matches, rec)
-			}
+		rec, err := store.DecodeRecord(payload)
+		if err != nil {
+			return nil, read, err
 		}
-		i = j
+		read++
+		if p.Match(&rec.Facts) {
+			matches = append(matches, rec)
+		}
 	}
 	return matches, read, nil
 }

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
-	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,17 +54,15 @@ func genRecord(i int, rng *rand.Rand) *store.Record {
 }
 
 // buildTestStore writes n pseudo-random records across many small
-// segments, salting in a few rareRegistrar rows, and optionally
-// compresses the sealed segments so postings exercise Idx > 0.
-func buildTestStore(tb testing.TB, dir string, n int, seed int64, compress bool) *store.Store {
-	return buildTestStoreSized(tb, dir, n, seed, compress, 4<<10)
+// segments, salting in a few rareRegistrar rows.
+func buildTestStore(tb testing.TB, dir string, n int, seed int64) *store.Store {
+	return buildTestStoreSized(tb, dir, n, seed, 4<<10)
 }
 
-func buildTestStoreSized(tb testing.TB, dir string, n int, seed int64, compress bool, segmentBytes int64) *store.Store {
+func buildTestStoreSized(tb testing.TB, dir string, n int, seed int64, segmentBytes int64) *store.Store {
 	tb.Helper()
 	st, err := store.Open(dir, store.Options{
 		SegmentBytes: segmentBytes,
-		BlockRecords: 5,
 		Metrics:      obs.NewRegistry(),
 	})
 	if err != nil {
@@ -77,11 +77,6 @@ func buildTestStoreSized(tb testing.TB, dir string, n int, seed int64, compress 
 			rec.Facts.CreatedYear = 2014
 		}
 		if err := st.Append(rec); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if compress {
-		if _, err := st.CompressSealed(); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -182,35 +177,29 @@ func diffOne(t *testing.T, e *Engine, p Pred) Stats {
 	return stats
 }
 
-// TestQueryDifferential is the CI gate: every supported predicate, over
-// a plain and a compressed store, through both executors — byte-identical
-// or fail. QUERYDIFF_N / QUERYDIFF_SEED widen the randomized corpus.
+// TestQueryDifferential is the CI gate: every supported predicate over
+// a multi-segment store, through both executors — byte-identical or
+// fail. QUERYDIFF_N / QUERYDIFF_SEED widen the randomized corpus.
 func TestQueryDifferential(t *testing.T) {
 	n := int(envInt("QUERYDIFF_N", 900))
 	seed := envInt("QUERYDIFF_SEED", 1)
 	t.Logf("differential corpus: QUERYDIFF_N=%d QUERYDIFF_SEED=%d", n, seed)
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
+	t.Run("plain", func(t *testing.T) {
+		st := buildTestStore(t, t.TempDir(), n, seed)
+		defer st.Close()
+		e := New(st, Options{Metrics: obs.NewRegistry()})
+		if _, err := e.BuildAll(); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			st := buildTestStore(t, t.TempDir(), n, seed, compress)
-			defer st.Close()
-			e := New(st, Options{Metrics: obs.NewRegistry()})
-			if _, err := e.BuildAll(); err != nil {
-				t.Fatal(err)
-			}
-			seeked := 0
-			for _, p := range differentialPreds() {
-				stats := diffOne(t, e, p)
-				seeked += stats.IndexSeeked
-			}
-			if seeked == 0 {
-				t.Fatal("no predicate ever used the index — the differential exercised nothing")
-			}
-		})
-	}
+		seeked := 0
+		for _, p := range differentialPreds() {
+			stats := diffOne(t, e, p)
+			seeked += stats.IndexSeeked
+		}
+		if seeked == 0 {
+			t.Fatal("no predicate ever used the index — the differential exercised nothing")
+		}
+	})
 }
 
 // corruptions are the sidecar failure modes the planner must absorb:
@@ -219,6 +208,22 @@ var corruptions = []struct {
 	name  string
 	wreck func(t *testing.T, dir string, id uint64)
 }{
+	{"old-version", func(t *testing.T, dir string, id uint64) {
+		// Intact sidecars stamped with the previous format version, CRC
+		// recomputed: only the version check can reject them.
+		for _, path := range []string{ZonePath(dir, id), IndexPath(dir, id)} {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := data[:len(data)-4]
+			body[4] = sidecarVersion - 1
+			data = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}},
 	{"flipped-idx", func(t *testing.T, dir string, id uint64) {
 		flipByte(t, IndexPath(dir, id), -20)
 	}},
@@ -278,14 +283,17 @@ func flipByte(t *testing.T, path string, pos int) {
 
 // TestQueryDifferentialCorruptSidecars: a NoRebuild engine over wrecked
 // sidecars must return exactly the full-scan answer and report the
-// degradation in its stats — never a wrong row, never a crash.
+// degradation in its stats — never a wrong row, never a crash. A
+// default engine over the same wreckage then counts the sidecar invalid
+// (unless it is merely missing), rebuilds it, and still answers
+// byte-identically.
 func TestQueryDifferentialCorruptSidecars(t *testing.T) {
 	n := int(envInt("QUERYDIFF_N", 900))
 	seed := envInt("QUERYDIFF_SEED", 1)
 	t.Logf("differential corpus: QUERYDIFF_N=%d QUERYDIFF_SEED=%d", n, seed)
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
-			st := buildTestStore(t, t.TempDir(), n, seed, true)
+			st := buildTestStore(t, t.TempDir(), n, seed)
 			defer st.Close()
 			e := New(st, Options{NoRebuild: true, Metrics: obs.NewRegistry()})
 			if _, err := e.BuildAll(); err != nil {
@@ -314,6 +322,25 @@ func TestQueryDifferentialCorruptSidecars(t *testing.T) {
 					t.Fatal("NoRebuild engine recreated a sidecar")
 				}
 			}
+
+			reg := obs.NewRegistry()
+			e = New(st, Options{Metrics: reg})
+			rebuilt := 0
+			for _, p := range differentialPreds() {
+				rebuilt += diffOne(t, e, p).Rebuilt
+			}
+			if rebuilt == 0 {
+				t.Fatal("default engine never rebuilt the wrecked sidecar")
+			}
+			if invalid := reg.Counter("query.sidecar.invalid").Value(); (invalid == 0) != (c.name == "missing") {
+				t.Fatalf("query.sidecar.invalid = %d after the %s wreck", invalid, c.name)
+			}
+			if _, err := LoadIndex(IndexPath(st.Dir(), infos[0].ID)); err != nil {
+				t.Fatalf("index sidecar not healed: %v", err)
+			}
+			if _, err := LoadZoneMap(ZonePath(st.Dir(), infos[0].ID)); err != nil {
+				t.Fatalf("zone map not healed: %v", err)
+			}
 		})
 	}
 }
@@ -321,7 +348,7 @@ func TestQueryDifferentialCorruptSidecars(t *testing.T) {
 // TestQueryRebuildsStaleSidecars: the default engine self-heals — a
 // wrecked sidecar is rebuilt in-line and the files come back fresh.
 func TestQueryRebuildsStaleSidecars(t *testing.T) {
-	st := buildTestStore(t, t.TempDir(), 400, 3, false)
+	st := buildTestStore(t, t.TempDir(), 400, 3)
 	defer st.Close()
 	e := New(st, Options{Metrics: obs.NewRegistry()})
 	if _, err := e.BuildAll(); err != nil {
@@ -348,7 +375,7 @@ func TestQueryRebuildsStaleSidecars(t *testing.T) {
 // TestZoneMapPruning: a predicate matching one segment's worth of rows
 // must skip (not scan) the segments that cannot hold it.
 func TestZoneMapPruning(t *testing.T) {
-	st := buildTestStore(t, t.TempDir(), 900, 2, false)
+	st := buildTestStore(t, t.TempDir(), 900, 2)
 	defer st.Close()
 	e := New(st, Options{Metrics: obs.NewRegistry()})
 	if _, err := e.BuildAll(); err != nil {
@@ -406,42 +433,56 @@ func TestAutoBuild(t *testing.T) {
 	}
 }
 
-// TestBuildAllRemovesOrphans: sidecars for segments compaction dropped
-// are cleaned up.
-func TestBuildAllRemovesOrphans(t *testing.T) {
-	st := buildTestStore(t, t.TempDir(), 400, 5, false)
-	defer st.Close()
+// TestAutoBuildJoinsOnClose: every goroutine AutoBuild's seal hook
+// starts is joined by the store's Close — each sealed segment's sidecars
+// exist when Close returns, and the goroutine count returns to its value
+// before Open.
+func TestAutoBuildJoinsOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	st, err := store.Open(t.TempDir(), store.Options{SegmentBytes: 1 << 10, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := New(st, Options{Metrics: obs.NewRegistry()})
-	if _, err := e.BuildAll(); err != nil {
+	e.AutoBuild()
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 300; i++ {
+		if err := st.Append(genRecord(i, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infos := st.SegmentInfos()
+	if len(infos) < 4 {
+		t.Fatalf("only %d segments; want several sealed ones", len(infos))
+	}
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := filepath.Glob(filepath.Join(st.Dir(), "*.zm"))
-	if len(before) < 2 {
-		t.Fatalf("expected several zone maps, got %d", len(before))
+	// Joined, not merely finished later: every sealed segment's sidecars
+	// are on disk the moment Close returns.
+	for _, info := range infos[:len(infos)-1] {
+		if _, err := LoadIndex(IndexPath(st.Dir(), info.ID)); err != nil {
+			t.Fatalf("segment %d: %v", info.ID, err)
+		}
 	}
-	if _, err := st.Compact(); err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(2 * time.Second)
+	after := runtime.NumGoroutine()
+	for after > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond) // exited goroutines may not be reaped yet
+		after = runtime.NumGoroutine()
 	}
-	if _, err := e.BuildAll(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := filepath.Glob(filepath.Join(st.Dir(), "*.zm"))
-	// Compaction merged everything into segment 1; only its sidecar (and
-	// no orphan) should remain.
-	if len(after) != 1 {
-		t.Fatalf("after compaction: %d zone maps remain (%v)", len(after), after)
-	}
-	// And the surviving sidecar answers queries.
-	stats := diffOne(t, New(st, Options{NoRebuild: true, Metrics: obs.NewRegistry()}), Pred{Registrar: rareRegistrar})
-	if stats.Fallbacks != 0 {
-		t.Fatalf("post-compaction sidecars not fresh: %s", stats)
+	// Fewer is fine: a goroutine of an earlier test may have exited
+	// since before was taken.
+	if after > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("goroutines: %d before Open, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 
 // TestEngineSurvey: the survey built from a predicate equals the survey
 // of the brute-force matches.
 func TestEngineSurvey(t *testing.T) {
-	st := buildTestStore(t, t.TempDir(), 600, 7, true)
+	st := buildTestStore(t, t.TempDir(), 600, 7)
 	defer st.Close()
 	e := New(st, Options{Metrics: obs.NewRegistry()})
 	if _, err := e.BuildAll(); err != nil {
@@ -486,10 +527,10 @@ func TestSidecarRoundTrip(t *testing.T) {
 	x := &Index{
 		SegID: 7, Fingerprint: 0xdeadbeef, Records: 123,
 		Registrar: map[string][]Posting{
-			"":     {{Off: 5, Idx: 0}},
-			"eNom": {{Off: 5, Idx: 1}, {Off: 900, Idx: 0}},
+			"":     {5},
+			"eNom": {61, 900},
 		},
-		Country: map[string][]Posting{"China": {{Off: 5, Idx: 0}, {Off: 5, Idx: 1}, {Off: 900, Idx: 0}}},
+		Country: map[string][]Posting{"China": {5, 61, 900}},
 		Year:    nil, // overflowed section survives as nil
 	}
 	x2, err := decodeIndex(encodeIndex(x))
@@ -499,19 +540,19 @@ func TestSidecarRoundTrip(t *testing.T) {
 	if x2.Year != nil {
 		t.Fatal("overflowed year section decoded non-nil")
 	}
-	if len(x2.Registrar) != 2 || len(x2.Registrar["eNom"]) != 2 || x2.Registrar["eNom"][1] != (Posting{Off: 900, Idx: 0}) {
+	if len(x2.Registrar) != 2 || len(x2.Registrar["eNom"]) != 2 || x2.Registrar["eNom"][1] != 900 {
 		t.Fatalf("index round trip: %+v", x2.Registrar)
 	}
-	if len(x2.Country["China"]) != 3 || x2.Country["China"][1] != (Posting{Off: 5, Idx: 1}) {
+	if len(x2.Country["China"]) != 3 || x2.Country["China"][1] != 61 {
 		t.Fatalf("index round trip: %+v", x2.Country)
 	}
 }
 
 func TestIntersectPostings(t *testing.T) {
-	a := []Posting{{5, 0}, {5, 1}, {90, 0}, {200, 3}}
-	b := []Posting{{5, 1}, {90, 0}, {90, 1}, {201, 0}}
+	a := []Posting{5, 61, 90, 200}
+	b := []Posting{61, 90, 95, 201}
 	got := intersectPostings(a, b)
-	want := []Posting{{5, 1}, {90, 0}}
+	want := []Posting{61, 90}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("intersect = %v, want %v", got, want)
 	}

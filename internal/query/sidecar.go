@@ -32,14 +32,17 @@ import (
 //	registrar section, country section (sorted string keys),
 //	year section (ascending uvarint keys);
 //	each key carries a posting list: count uvarint, then per posting
-//	uvarint(Off - prevOff) and uvarint(Idx), sorted by (Off, Idx)
+//	uvarint(off - prevOff), offsets strictly ascending
+//
+// A version-1 file (its postings also carried an in-frame record index)
+// fails the envelope check and is rebuilt like any other bad sidecar.
 var (
 	zoneMagic  = [4]byte{'W', 'Z', 'M', '1'}
 	indexMagic = [4]byte{'W', 'I', 'X', '1'}
 )
 
 const (
-	sidecarVersion = 1
+	sidecarVersion = 2
 
 	// maxZoneKeys caps the distinct registrar/country sets a zone map
 	// tracks; past it the dimension is marked overflowed and cannot
@@ -136,16 +139,8 @@ func containsSorted(ss []string, s string) bool {
 }
 
 // Posting locates one record: the byte offset of its frame within the
-// segment and its index among the frame's records (always 0 for a plain
-// frame, 0..n-1 inside a compressed block).
-type Posting struct {
-	Off int64
-	Idx int
-}
-
-func postingLess(a, b Posting) bool {
-	return a.Off < b.Off || (a.Off == b.Off && a.Idx < b.Idx)
-}
+// segment. Every frame holds exactly one record.
+type Posting int64
 
 // Index maps registrar, country, and creation-year values to the
 // postings of the records carrying them. A nil section means that
@@ -335,29 +330,28 @@ func decodeZoneMap(data []byte) (*ZoneMap, error) {
 
 func writePostings(w *sidecarWriter, ps []Posting) {
 	w.uvarint(uint64(len(ps)))
-	var prev int64
+	var prev Posting
 	for _, p := range ps {
-		w.uvarint(uint64(p.Off - prev))
-		w.uvarint(uint64(p.Idx))
-		prev = p.Off
+		w.uvarint(uint64(p - prev))
+		prev = p
 	}
 }
 
 func readPostings(r *sidecarReader) ([]Posting, error) {
 	n := r.uvarint()
-	// Each posting costs at least two bytes on the wire.
-	if r.bad || n > uint64(r.remaining()/2)+1 {
+	// Each posting costs at least one byte on the wire.
+	if r.bad || n > uint64(r.remaining()) {
 		return nil, fmt.Errorf("%w: posting count", ErrBadSidecar)
 	}
 	ps := make([]Posting, 0, n)
 	var prev Posting
 	for i := uint64(0); i < n; i++ {
-		d, idx := r.uvarint(), r.uvarint()
-		if r.bad || d > 1<<40 || idx > 1<<24 {
+		d := r.uvarint()
+		if r.bad || d > 1<<40 {
 			return nil, fmt.Errorf("%w: posting", ErrBadSidecar)
 		}
-		p := Posting{Off: prev.Off + int64(d), Idx: int(idx)}
-		if i > 0 && !postingLess(prev, p) {
+		p := prev + Posting(d)
+		if i > 0 && p <= prev {
 			return nil, fmt.Errorf("%w: posting order", ErrBadSidecar)
 		}
 		ps = append(ps, p)

@@ -23,12 +23,15 @@
 // whose payload is short, or whose CRC mismatches marks the end of the
 // recoverable region: Open truncates a torn tail on the newest segment
 // (a crash mid-append) and refuses corruption anywhere else.
+//
+// Only the active segment ever grows. A sealed segment is immutable: no
+// code path rewrites, merges or removes one, so a reader's snapshot and
+// a sidecar built from a sealed segment stay valid for the store's
+// lifetime.
 package store
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -99,14 +102,10 @@ const (
 )
 
 // recordKind tags the payload type, leaving room for future frame kinds
-// (checkpoints, tombstones) without a format-version bump. blockKind is
-// a compressed block: many record payloads flate-compressed into one
-// frame, used on sealed segments only (the active segment stays plain
-// so crash recovery keeps byte-granular truncation).
-const (
-	recordKind = 1
-	blockKind  = 2
-)
+// (checkpoints, tombstones) without a format-version bump. The decoder
+// refuses every other kind, and Open refuses a segment holding a frame of
+// an unknown kind, on the newest segment as on a sealed one.
+const recordKind = 1
 
 // appendUvarint, appendString: little encoding helpers over a shared buf.
 func appendString(buf []byte, s string) []byte {
@@ -374,112 +373,6 @@ func decodeContact(r *reader, c *core.Contact) {
 	c.Email = r.str()
 }
 
-// Block frames. A block payload is
-//
-//	[blockKind] [count uvarint] [rawLen uvarint] [flate(raw)]
-//
-// where raw is the concatenation of count uvarint-length-prefixed record
-// payloads. The frame envelope's CRC32C covers the compressed bytes, so
-// every block keeps the same per-frame corruption detection as a plain
-// record frame; rawLen bounds the decompression up front so a corrupt
-// header can never balloon memory.
-const (
-	// maxBlockRaw caps a block's uncompressed size. CompressSealed
-	// flushes well below this; the decoder refuses anything larger
-	// before allocating.
-	maxBlockRaw = 16 << 20
-)
-
-// ErrBadBlock marks a block payload that fails structural validation
-// (bad counts, short decompression, trailing bytes).
-var ErrBadBlock = errors.New("store: malformed block payload")
-
-// appendBlock encodes payloads as one compressed block payload appended
-// to buf.
-func appendBlock(buf []byte, payloads [][]byte) ([]byte, error) {
-	var rawLen int
-	for _, p := range payloads {
-		rawLen += binary.MaxVarintLen64 + len(p)
-	}
-	raw := make([]byte, 0, rawLen)
-	for _, p := range payloads {
-		raw = binary.AppendUvarint(raw, uint64(len(p)))
-		raw = append(raw, p...)
-	}
-	if len(raw) > maxBlockRaw {
-		return nil, fmt.Errorf("%w: %d raw bytes", ErrBadBlock, len(raw))
-	}
-	buf = append(buf, blockKind)
-	buf = binary.AppendUvarint(buf, uint64(len(payloads)))
-	buf = binary.AppendUvarint(buf, uint64(len(raw)))
-	var cb bytes.Buffer
-	zw, err := flate.NewWriter(&cb, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return append(buf, cb.Bytes()...), nil
-}
-
-// decodeBlock splits a block payload into its record payloads. The
-// returned slices alias one freshly allocated buffer, so they stay valid
-// after the caller's frame buffer is reused. It never panics and bounds
-// every allocation against the declared sizes.
-func decodeBlock(payload []byte) ([][]byte, error) {
-	r := &reader{b: payload}
-	if kind := r.byte(); r.bad || kind != blockKind {
-		return nil, fmt.Errorf("%w: not a block", ErrBadBlock)
-	}
-	count := r.uvarint()
-	rawLen := r.uvarint()
-	if r.bad {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadBlock)
-	}
-	if rawLen > maxBlockRaw {
-		return nil, fmt.Errorf("%w: %d raw bytes", ErrBadBlock, rawLen)
-	}
-	// The smallest valid record payload is several bytes; each entry also
-	// carries a length prefix. Anything denser than 8 bytes/record is
-	// structurally impossible — reject before allocating count headers.
-	if count == 0 || count > rawLen/8+1 {
-		return nil, fmt.Errorf("%w: %d records in %d raw bytes", ErrBadBlock, count, rawLen)
-	}
-	zr := flate.NewReader(bytes.NewReader(payload[r.pos:]))
-	defer zr.Close()
-	raw := make([]byte, int(rawLen))
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("%w: short decompression: %v", ErrBadBlock, err)
-	}
-	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("%w: oversized decompression", ErrBadBlock)
-	}
-	out := make([][]byte, 0, count)
-	br := &reader{b: raw}
-	for i := uint64(0); i < count; i++ {
-		n := br.uvarint()
-		if br.bad || n > uint64(len(raw)-br.pos) {
-			return nil, fmt.Errorf("%w: truncated entry %d", ErrBadBlock, i)
-		}
-		out = append(out, raw[br.pos:br.pos+int(n)])
-		br.pos += int(n)
-	}
-	if br.pos != len(raw) {
-		return nil, fmt.Errorf("%w: %d trailing raw bytes", ErrBadBlock, len(raw)-br.pos)
-	}
-	return out, nil
-}
-
-// isBlockPayload reports whether a frame payload is a compressed block.
-func isBlockPayload(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == blockKind
-}
-
 // EncodeRecord appends rec's payload encoding to buf and returns the
 // extended slice — the store's bounds-checked record codec exposed for
 // the cluster shard protocol, whose wire format carries parsed records
@@ -503,8 +396,8 @@ func appendFrame(buf, payload []byte) []byte {
 
 // frameScanner streams frames off a reader with a single reusable
 // payload buffer, so iterating a multi-gigabyte segment holds one frame
-// in memory at a time. It tracks byte offsets for the sparse index and
-// for recovery truncation.
+// in memory at a time. It tracks byte offsets for posting seeks and for
+// recovery truncation.
 type frameScanner struct {
 	r   *bufio.Reader
 	off int64  // offset of the next unread byte

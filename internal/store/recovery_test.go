@@ -1,9 +1,13 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -174,6 +178,103 @@ func TestCorruptionInSealedSegmentIsFatal(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open accepted a corrupt sealed segment")
+	}
+}
+
+// TestCorruptBlockInSealedSegmentIsFatal: a frame of a kind the record
+// codec does not know — kind 2, the retired compressed-block frame —
+// fails Open when it sits in a sealed segment, even though its CRC is
+// intact.
+func TestCorruptBlockInSealedSegmentIsFatal(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SegmentBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := st.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.Segments() < 2 {
+		t.Fatalf("need >= 2 segments, got %d", st.Segments())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "00000001.seg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = appendFrame(data, []byte{2, 1, 9, 0xde, 0xad, 0xbe, 0xef})
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("Open accepted a kind-2 frame in a sealed segment")
+	}
+}
+
+// TestCompressedRecoveryTruncatedTailEveryOffset: testdata holds a
+// segment of the retired compressed format (8 records in kind-2 block
+// frames of 3+3+2 records). As the newest segment of a store, cut at
+// every byte offset inside its last frame, it must not pass for a
+// crash tail: the intact kind-2 frames ahead of the cut are no torn
+// write, so Open refuses at the first of them and leaves the file
+// exactly as it found it instead of truncating the records away.
+func TestCompressedRecoveryTruncatedTailEveryOffset(t *testing.T) {
+	orig, err := os.ReadFile(filepath.Join("testdata", "legacy-compressed.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := newFrameScanner(bytes.NewReader(orig[segHeaderLen:]), segHeaderLen)
+	var frames []int64
+	for {
+		payload, off, err := sc.next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("fixture frame at %d: %v", off, err)
+		}
+		if payload[0] != 2 {
+			t.Fatalf("fixture frame at %d has kind %d, want 2", off, payload[0])
+		}
+		frames = append(frames, off)
+	}
+	if len(frames) != 3 {
+		t.Fatalf("fixture holds %d frames, want 3", len(frames))
+	}
+	base := t.TempDir()
+	const segName = "00000001.seg"
+	for cut := frames[len(frames)-1]; cut < int64(len(orig)); cut++ {
+		cut := cut
+		t.Run(fmt.Sprintf("cut@%d", cut), func(t *testing.T) {
+			dir := filepath.Join(base, fmt.Sprintf("cut%d", cut))
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segName)
+			if err := os.WriteFile(path, orig[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(dir, Options{})
+			if err == nil {
+				st.Close()
+				t.Fatalf("Open after cut at %d accepted a segment of kind-2 frames (%d records)", cut, st.Len())
+			}
+			if !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d", frames[0])) {
+				t.Fatalf("Open error = %v, want ErrBadRecord at offset %d", err, frames[0])
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, orig[:cut]) {
+				t.Fatalf("Open rewrote the refused segment: %d bytes left of %d", len(got), cut)
+			}
+		})
 	}
 }
 

@@ -2,32 +2,19 @@ package store
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 )
 
-// ErrSegmentCompacted is surfaced when a reader reaches for a segment
-// that a compaction (or compression rewrite) has already removed or
-// replaced — the typed form of the ENOENT a slow reader racing the
-// background compactor would otherwise see. Iterator snapshots hold file
-// descriptors precisely to avoid this; paths that re-open by id
-// (OpenSegment, the query engine's sidecar builder) report it so callers
-// can re-plan instead of failing on a raw *os.PathError.
-var ErrSegmentCompacted = errors.New("store: segment compacted away")
-
 // SegmentInfo is the public snapshot of one segment's metadata.
 type SegmentInfo struct {
 	ID      uint64
 	Path    string
-	BaseSeq uint64 // store-wide seq of the segment's first record
 	Records uint64
 	Size    int64 // committed bytes
 	Sealed  bool  // false only for the append target
-	Blocks  uint64
-	Plain   uint64
 }
 
 // SegmentInfos reports every segment's committed metadata at one
@@ -37,32 +24,32 @@ func (s *Store) SegmentInfos() []SegmentInfo {
 	defer s.mu.Unlock()
 	out := make([]SegmentInfo, 0, len(s.segments))
 	for i, seg := range s.segments {
-		out = append(out, SegmentInfo{
-			ID:      seg.id,
-			Path:    seg.path,
-			BaseSeq: seg.baseSeq,
-			Records: seg.records,
-			Size:    seg.size,
-			Sealed:  i != len(s.segments)-1,
-			Blocks:  seg.blocks,
-			Plain:   seg.plain,
-		})
+		out = append(out, seg.info(i != len(s.segments)-1))
 	}
 	return out
 }
 
+func (seg *segment) info(sealed bool) SegmentInfo {
+	return SegmentInfo{
+		ID:      seg.id,
+		Path:    seg.path,
+		Records: seg.records,
+		Size:    seg.size,
+		Sealed:  sealed,
+	}
+}
+
 // SegmentReader is a point-in-time read handle on one segment: the file
 // descriptor and committed size are captured under the store lock, so —
-// exactly like Iterator snapshots — a concurrent rotation, compaction,
-// or compression rewrite cannot change what this reader sees.
+// exactly like Iterator snapshots — appends after the open stay
+// invisible to this reader.
 type SegmentReader struct {
 	f    *os.File
 	info SegmentInfo
 }
 
-// OpenSegment opens a snapshot of the segment with the given id. A
-// segment that no longer exists (merged or dropped by compaction)
-// reports ErrSegmentCompacted.
+// OpenSegment opens a snapshot of the segment with the given id; an id
+// the store does not hold is an error.
 func (s *Store) OpenSegment(id uint64) (*SegmentReader, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,7 +59,7 @@ func (s *Store) OpenSegment(id uint64) (*SegmentReader, error) {
 		}
 		return openSegmentLocked(seg, i != len(s.segments)-1)
 	}
-	return nil, fmt.Errorf("%w: segment %d", ErrSegmentCompacted, id)
+	return nil, fmt.Errorf("store: no segment %d", id)
 }
 
 // OpenSegments opens one consistent snapshot of every segment: all
@@ -98,21 +85,9 @@ func (s *Store) OpenSegments() ([]*SegmentReader, error) {
 func openSegmentLocked(seg *segment, sealed bool) (*SegmentReader, error) {
 	f, err := os.Open(seg.path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrSegmentCompacted, seg.path)
-		}
 		return nil, fmt.Errorf("store: open segment: %w", err)
 	}
-	return &SegmentReader{f: f, info: SegmentInfo{
-		ID:      seg.id,
-		Path:    seg.path,
-		BaseSeq: seg.baseSeq,
-		Records: seg.records,
-		Size:    seg.size,
-		Sealed:  sealed,
-		Blocks:  seg.blocks,
-		Plain:   seg.plain,
-	}}, nil
+	return &SegmentReader{f: f, info: seg.info(sealed)}, nil
 }
 
 // Info returns the segment metadata captured at open time.
@@ -129,9 +104,9 @@ func (r *SegmentReader) Close() error {
 }
 
 // fingerprintSample is how much of each end of a segment the fingerprint
-// hashes. Appends and truncations change the size; compaction and
-// compression rewrite the content wholesale — all of which move at least
-// one of (head bytes, tail bytes, length).
+// hashes. Appends and truncations change the size; a different segment
+// under the same id (a store directory rebuilt from scratch) changes the
+// head or tail bytes.
 const fingerprintSample = 4096
 
 // Fingerprint is a cheap content identity for the snapshot: CRC32C over
@@ -166,15 +141,13 @@ func (r *SegmentReader) Fingerprint() (uint32, error) {
 }
 
 // Frames walks every frame of the snapshot in order, handing fn the
-// frame's byte offset and the record payloads it carries (one for a
-// plain frame, many for a compressed block). Payloads are valid only
+// frame's byte offset and its record payload. The payload is valid only
 // during the callback. Returning a non-nil error stops the walk.
-func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) error {
+func (r *SegmentReader) Frames(fn func(off int64, payload []byte) error) error {
 	if _, err := r.f.Seek(segHeaderLen, 0); err != nil {
 		return fmt.Errorf("store: segment seek: %w", err)
 	}
 	sc := newFrameScanner(io.LimitReader(r.f, r.info.Size-segHeaderLen), segHeaderLen)
-	var single [1][]byte
 	for {
 		payload, off, err := sc.next()
 		if err == io.EOF {
@@ -183,42 +156,26 @@ func (r *SegmentReader) Frames(fn func(off int64, payloads [][]byte) error) erro
 		if err != nil {
 			return fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
 		}
-		var payloads [][]byte
-		if isBlockPayload(payload) {
-			payloads, err = decodeBlock(payload)
-			if err != nil {
-				return fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
-			}
-		} else {
-			single[0] = payload
-			payloads = single[:]
-		}
-		if err := fn(off, payloads); err != nil {
+		if err := fn(off, payload); err != nil {
 			return err
 		}
 	}
 }
 
 // FrameAt reads the single frame starting at off and returns its record
-// payloads — the posting-seek primitive under index-pruned scans. The
+// payload — the posting-seek primitive under index-pruned scans. The
 // offset must land exactly on a frame boundary inside the snapshot;
 // anything else fails the frame CRC (or bounds check) and errors.
-func (r *SegmentReader) FrameAt(off int64) ([][]byte, error) {
+func (r *SegmentReader) FrameAt(off int64) ([]byte, error) {
 	if off < segHeaderLen || off >= r.info.Size {
 		return nil, fmt.Errorf("store: frame offset %d outside segment [%d, %d)", off, segHeaderLen, r.info.Size)
 	}
 	if _, err := r.f.Seek(off, 0); err != nil {
 		return nil, fmt.Errorf("store: segment seek: %w", err)
 	}
-	sc := newFrameScanner(io.LimitReader(r.f, r.info.Size-off), off)
-	payload, _, err := sc.next()
+	payload, _, err := newFrameScanner(io.LimitReader(r.f, r.info.Size-off), off).next()
 	if err != nil {
 		return nil, fmt.Errorf("store: %s at offset %d: %w", r.info.Path, off, err)
 	}
-	if isBlockPayload(payload) {
-		return decodeBlock(payload)
-	}
-	// Copy: the scanner buffer dies with this call frame's scanner, but
-	// hand the caller stable bytes anyway for symmetry with blocks.
-	return [][]byte{append([]byte(nil), payload...)}, nil
+	return payload, nil
 }

@@ -15,30 +15,11 @@ import (
 )
 
 // Options tunes a Store. The zero value picks production defaults; tests
-// shrink SegmentBytes to exercise rotation and compaction.
+// shrink SegmentBytes to exercise rotation.
 type Options struct {
 	// SegmentBytes is the rotation threshold for the active segment;
 	// <= 0 means 64 MiB.
 	SegmentBytes int64
-	// IndexEvery is the sparse-index stride: one in-memory offset entry
-	// per this many records; <= 0 means 1024. At the paper's 102M-record
-	// scale the default keeps the index near 100K entries per run.
-	IndexEvery int
-	// SyncEvery fsyncs the active segment after every N appends;
-	// 0 means only on Sync/Close (the crawler sink calls Sync at its
-	// own checkpoints).
-	SyncEvery int
-	// AutoCompactSegments, when > 0, kicks off a background compaction
-	// whenever a rotation leaves at least this many sealed segments.
-	AutoCompactSegments int
-	// Compress rewrites sealed segments into flate block frames in the
-	// background after every rotation (and makes compaction emit
-	// compressed output). The active segment always stays plain, so
-	// crash recovery keeps byte-granular tail truncation.
-	Compress bool
-	// BlockRecords is the records-per-compressed-block target for
-	// Compress / CompressSealed; <= 0 means 256.
-	BlockRecords int
 	// Metrics is the observability registry (store.* metrics, DESIGN.md
 	// §5c naming). Nil means a private registry reachable via Metrics().
 	Metrics *obs.Registry
@@ -48,35 +29,18 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
-	if o.IndexEvery <= 0 {
-		o.IndexEvery = 1024
-	}
-	if o.BlockRecords <= 0 {
-		o.BlockRecords = 256
-	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
 	}
 	return o
 }
 
-// indexEntry is one sparse-index point: record seq -> byte offset within
-// its segment.
-type indexEntry struct {
-	seq uint64 // segment-relative record index
-	off int64
-}
-
 // segment is the in-memory state of one on-disk segment file.
 type segment struct {
 	path    string
 	id      uint64
-	baseSeq uint64 // store-wide seq of the segment's first record
 	records uint64
 	size    int64 // committed bytes (header + intact frames)
-	index   []indexEntry
-	plain   uint64 // plain record frames (compression candidates)
-	blocks  uint64 // compressed block frames
 }
 
 // Store is an append-only, segmented, CRC-checked record log with
@@ -86,16 +50,15 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu          sync.Mutex // guards segments, active file, counters
-	segments    []*segment
-	active      *os.File
-	unsynced    int
-	closed      bool
-	recovered   int64 // bytes truncated from a torn tail at Open
-	compactWG   sync.WaitGroup
-	compactBusy bool
+	mu        sync.Mutex // guards segments, active file, counters
+	segments  []*segment
+	active    *os.File
+	unsynced  int
+	closed    bool
+	recovered int64 // bytes truncated from a torn tail at Open
 
 	onSeal func(id uint64) // see SetOnSeal
+	hooks  sync.WaitGroup  // running seal hooks; Close joins them
 
 	reg *obs.Registry
 	met storeMetrics
@@ -107,12 +70,7 @@ type storeMetrics struct {
 	appendSeconds *obs.Histogram
 	frameBytes    *obs.Histogram
 	rotations     *obs.Counter
-	compactions   *obs.Counter
-	compactSecs   *obs.Histogram
 	truncated     *obs.Counter
-	compressions  *obs.Counter
-	compressSecs  *obs.Histogram
-	compressSaved *obs.Counter
 }
 
 func (m *storeMetrics) register(reg *obs.Registry) {
@@ -120,12 +78,7 @@ func (m *storeMetrics) register(reg *obs.Registry) {
 	m.appendSeconds = reg.Histogram("store.append.seconds", obs.DurationBounds())
 	m.frameBytes = reg.Histogram("store.frame.bytes", obs.SizeBounds())
 	m.rotations = reg.Counter("store.segment.rotations")
-	m.compactions = reg.Counter("store.compactions")
-	m.compactSecs = reg.Histogram("store.compact.seconds", obs.DurationBounds())
 	m.truncated = reg.Counter("store.recovery.truncated.bytes")
-	m.compressions = reg.Counter("store.compressions")
-	m.compressSecs = reg.Histogram("store.compress.seconds", obs.DurationBounds())
-	m.compressSaved = reg.Counter("store.compress.saved.bytes")
 }
 
 const segSuffix = ".seg"
@@ -135,7 +88,7 @@ func segPath(dir string, id uint64) string {
 }
 
 // Open opens (creating if needed) the store in dir, scanning every
-// segment to rebuild the sparse index and record counts. A torn tail on
+// segment to validate its frames and count its records. A torn tail on
 // the newest segment — the signature of a crash mid-append — is
 // truncated away; corruption anywhere else is an error.
 func Open(dir string, opts Options) (*Store, error) {
@@ -156,14 +109,11 @@ func Open(dir string, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	var baseSeq uint64
 	for i, id := range ids {
-		seg, truncated, err := scanSegment(segPath(dir, id), id, o.IndexEvery, i == len(ids)-1)
+		seg, truncated, err := scanSegment(segPath(dir, id), id, i == len(ids)-1)
 		if err != nil {
 			return nil, err
 		}
-		seg.baseSeq = baseSeq
-		baseSeq += seg.records
 		s.segments = append(s.segments, seg)
 		s.recovered += truncated
 	}
@@ -230,10 +180,10 @@ func writeSegmentHeader(path string) error {
 }
 
 // scanSegment walks one segment file, validating every frame and
-// building the sparse index. When isLast (the append target), a torn
-// tail — including a half-written header on a freshly created file — is
+// counting its records. When isLast (the append target), a torn tail —
+// including a half-written header on a freshly created file — is
 // truncated; on sealed segments any damage is fatal.
-func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment, int64, error) {
+func scanSegment(path string, id uint64, isLast bool) (*segment, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("store: open segment: %w", err)
@@ -262,11 +212,22 @@ func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment,
 
 	seg := &segment{path: path, id: id, size: segHeaderLen}
 	sc := newFrameScanner(f, segHeaderLen)
-	var nextIndexAt uint64
 	for {
 		payload, start, err := sc.next()
 		if err == io.EOF {
 			break
+		}
+		// A checksummed frame of another kind (kind 2 was the retired
+		// compressed block) is no torn write, so it is fatal even on the
+		// tail: truncating there would drop intact frames.
+		if err == nil && len(payload) > 0 && payload[0] != recordKind {
+			return nil, 0, fmt.Errorf("store: %s at offset %d: %w: frame kind %d", path, start, ErrBadRecord, payload[0])
+		}
+		// Validate the payload decodes before committing to it; a frame
+		// with a valid CRC but an undecodable record is corruption, not a
+		// torn write, yet on the tail we still prefer recovery.
+		if err == nil {
+			_, err = decodeRecord(payload)
 		}
 		if err != nil {
 			if isLast {
@@ -279,50 +240,7 @@ func scanSegment(path string, id uint64, indexEvery int, isLast bool) (*segment,
 			}
 			return nil, 0, fmt.Errorf("store: %s at offset %d: %w", path, start, err)
 		}
-		// Validate the payload decodes before committing to it; a frame
-		// with a valid CRC but an undecodable record is corruption, not a
-		// torn write, yet on the tail we still prefer recovery. Block
-		// frames validate every record they carry, so a torn block drops
-		// whole (recovery granularity is one frame either way).
-		var count uint64
-		if isBlockPayload(payload) {
-			payloads, derr := decodeBlock(payload)
-			if derr == nil {
-				for _, p := range payloads {
-					if _, derr = decodeRecord(p); derr != nil {
-						break
-					}
-				}
-			}
-			if derr != nil {
-				if isLast {
-					if terr := os.Truncate(path, start); terr != nil {
-						return nil, 0, fmt.Errorf("store: truncate bad tail block: %w", terr)
-					}
-					return seg, fileSize - start, nil
-				}
-				return nil, 0, fmt.Errorf("store: %s at offset %d: %w", path, start, derr)
-			}
-			count = uint64(len(payloads))
-			seg.blocks++
-		} else {
-			if _, derr := decodeRecord(payload); derr != nil {
-				if isLast {
-					if terr := os.Truncate(path, start); terr != nil {
-						return nil, 0, fmt.Errorf("store: truncate bad tail record: %w", terr)
-					}
-					return seg, fileSize - start, nil
-				}
-				return nil, 0, fmt.Errorf("store: %s at offset %d: %w", path, start, derr)
-			}
-			count = 1
-			seg.plain++
-		}
-		if seg.records >= nextIndexAt {
-			seg.index = append(seg.index, indexEntry{seq: seg.records, off: start})
-			nextIndexAt = seg.records + uint64(indexEvery)
-		}
-		seg.records += count
+		seg.records++
 		seg.size = sc.off
 	}
 	return seg, 0, nil
@@ -346,8 +264,8 @@ func rewriteHeader(path string) error {
 // Metrics returns the registry the store records into.
 func (s *Store) Metrics() *obs.Registry { return s.reg }
 
-// Len reports the number of stored records, including superseded
-// duplicates not yet removed by compaction.
+// Len reports the number of stored records, duplicates included (a
+// re-crawled domain is appended again, never overwritten).
 func (s *Store) Len() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,7 +303,7 @@ func (s *Store) RecoveredBytes() int64 {
 
 // Append encodes rec and appends it to the active segment, rotating
 // first when the segment is over the size threshold. The record is
-// durable after the next Sync (or per Options.SyncEvery).
+// durable after the next Sync.
 func (s *Store) Append(rec *Record) error {
 	start := time.Now()
 	payload := appendRecord(nil, rec)
@@ -406,18 +324,9 @@ func (s *Store) Append(rec *Record) error {
 	if _, err := s.active.Write(frame); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
-	if active.records%uint64(s.opts.IndexEvery) == 0 {
-		active.index = append(active.index, indexEntry{seq: active.records, off: active.size})
-	}
 	active.size += int64(len(frame))
 	active.records++
-	active.plain++
 	s.unsynced++
-	if s.opts.SyncEvery > 0 && s.unsynced >= s.opts.SyncEvery {
-		if err := s.syncLocked(); err != nil {
-			return err
-		}
-	}
 	s.met.appends.Inc()
 	s.met.appendSeconds.ObserveSince(start)
 	s.met.frameBytes.Observe(float64(len(frame)))
@@ -448,44 +357,20 @@ func (s *Store) rotateLocked() error {
 		return fmt.Errorf("store: seek new segment: %w", err)
 	}
 	s.active = f
-	s.segments = append(s.segments, &segment{
-		path:    path,
-		id:      id,
-		baseSeq: last.baseSeq + last.records,
-		size:    segHeaderLen,
-	})
+	s.segments = append(s.segments, &segment{path: path, id: id, size: segHeaderLen})
 	s.met.rotations.Inc()
 	// The previous active segment is now sealed: tell the seal hook (the
-	// query engine builds sidecar indexes off it) and, under
-	// Options.Compress, rewrite it into block frames in the background.
+	// query engine builds sidecar indexes off it).
 	s.sealedLocked(last.id)
-	if s.opts.Compress && !s.compactBusy {
-		s.compactWG.Add(1)
-		go func() {
-			defer s.compactWG.Done()
-			_, _ = s.CompressSealed()
-		}()
-	}
-	// Background compaction trigger. Compact itself serializes via
-	// compactBusy (a concurrent call no-ops), so a double spawn is
-	// harmless; rotations from inside a running Compact never spawn.
-	if n := s.opts.AutoCompactSegments; n > 0 && len(s.segments)-1 >= n && !s.compactBusy {
-		s.compactWG.Add(1)
-		go func() {
-			defer s.compactWG.Done()
-			_, _ = s.Compact()
-		}()
-	}
 	return nil
 }
 
 // SetOnSeal registers fn to be called (each time in its own goroutine)
-// with a segment id whenever that segment becomes sealed — by rotation —
-// or a sealed segment's bytes are rewritten in place by compaction or
-// compression. Derived artifacts keyed to a segment's content (the query
-// engine's zone maps and secondary indexes) hang off this hook to stay
-// fresh without polling. The store owns those goroutines: Close waits
-// for every running hook before it returns.
+// with a segment id whenever rotation seals that segment. Derived
+// artifacts keyed to a segment's content (the query engine's zone maps
+// and secondary indexes) hang off this hook to stay fresh without
+// polling. The store owns those goroutines: Close waits for every
+// running hook before it returns.
 func (s *Store) SetOnSeal(fn func(id uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -493,15 +378,16 @@ func (s *Store) SetOnSeal(fn func(id uint64)) {
 }
 
 // sealedLocked runs the seal hook for segment id in a goroutine that
-// Close joins. Callers hold s.mu.
+// Close joins. Callers hold s.mu and have checked s.closed, so no hook
+// starts once Close has begun.
 func (s *Store) sealedLocked(id uint64) {
 	fn := s.onSeal
 	if fn == nil {
 		return
 	}
-	s.compactWG.Add(1)
+	s.hooks.Add(1)
 	go func() {
-		defer s.compactWG.Done()
+		defer s.hooks.Done()
 		fn(id)
 	}()
 }
@@ -532,27 +418,23 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
-// Close syncs and closes the store. Any background compaction and any
-// running seal hook finish first.
+// Close syncs and closes the store, then waits for every running seal
+// hook. Marking the store closed comes first, under the same lock
+// Append takes: an Append racing Close either rotates (and starts its
+// hook) before Close begins, and Close joins that hook, or it fails
+// without rotating.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	var err error
+	if !s.closed {
+		s.closed = true
+		err = s.syncLocked()
+		if cerr := s.active.Close(); err == nil {
+			err = cerr
+		}
 	}
 	s.mu.Unlock()
-	s.compactWG.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
-	s.closed = true
-	err := s.syncLocked()
-	if cerr := s.active.Close(); err == nil {
-		err = cerr
-	}
+	s.hooks.Wait()
 	return err
 }
 
