@@ -10,8 +10,12 @@ import (
 	"io"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/labels"
+	"repro/internal/leakcheck"
+	"repro/internal/tokenize"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -126,6 +130,42 @@ func TestRecordRespRoundTrip(t *testing.T) {
 	if got.DomainName != rec.DomainName || got.Registrar != rec.Registrar ||
 		got.CreatedDate != rec.CreatedDate || got.ModelVersion != rec.ModelVersion {
 		t.Fatalf("round trip mismatch: %+v", got)
+	}
+}
+
+// TestRecordRespDoesNotAliasBody: a forwarded answer outlives the
+// connection's read buffer it was decoded from, so none of its strings
+// may point into that buffer.
+func TestRecordRespDoesNotAliasBody(t *testing.T) {
+	rec := &core.ParsedRecord{
+		DomainName:   "example.com",
+		Registrar:    "Example Registrar, Inc.",
+		ModelVersion: "default/1.0.0+deadbeef",
+		NameServers:  []string{"ns1.example.net", "ns2.example.net"},
+		Statuses:     []string{"clientTransferProhibited"},
+	}
+	for i := 0; i < 40; i++ {
+		rec.Lines = append(rec.Lines, tokenize.Line{Raw: fmt.Sprintf("Registrant Field %d: value %d", i, i)})
+		rec.Blocks = append(rec.Blocks, labels.Registrant)
+		rec.Fields = append(rec.Fields, labels.FieldName)
+	}
+	body, err := decodeStatusByte(encodeRecordResp(nil, "example.com", rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeRecordResp(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := unsafe.String(unsafe.SliceData(body), len(body))
+	strs := leakcheck.Strings(got)
+	if len(strs) < 3*40 { // Raw, Title and Value per line
+		t.Fatalf("only %d strings in the decoded answer", len(strs))
+	}
+	for _, s := range strs {
+		if leakcheck.Overlaps(s, wire) {
+			t.Fatalf("decoded string %q aliases the wire buffer", s)
+		}
 	}
 }
 

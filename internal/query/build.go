@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/store"
 )
@@ -81,13 +82,30 @@ func Build(r *store.SegmentReader) (*ZoneMap, *Index, error) {
 	if n != info.Records {
 		return nil, nil, fmt.Errorf("query: build %s: saw %d of %d records", info.Path, n, info.Records)
 	}
+	// A decoded string is a slice of its whole record payload: keep
+	// none of them in sidecars the engine caches for its lifetime.
 	for r := range regs {
-		z.Registrars = append(z.Registrars, r)
+		z.Registrars = append(z.Registrars, strings.Clone(r))
 	}
 	for c := range countries {
-		z.Countries = append(z.Countries, c)
+		z.Countries = append(z.Countries, strings.Clone(c))
 	}
+	x.Registrar = cloneKeys(x.Registrar)
+	x.Country = cloneKeys(x.Country)
 	return z, x, nil
+}
+
+// cloneKeys re-keys m with copies of its keys. Cloning on first insert
+// would not do: assigning to an existing string key stores the new key.
+func cloneKeys(m map[string][]Posting) map[string][]Posting {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string][]Posting, len(m))
+	for k, v := range m {
+		out[strings.Clone(k)] = v
+	}
+	return out
 }
 
 // addPosting appends pt under key, dropping the whole section once its

@@ -11,9 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/labels"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/survey"
+	"repro/internal/tokenize"
 )
 
 var (
@@ -61,6 +65,13 @@ func buildTestStore(tb testing.TB, dir string, n int, seed int64) *store.Store {
 
 func buildTestStoreSized(tb testing.TB, dir string, n int, seed int64, segmentBytes int64) *store.Store {
 	tb.Helper()
+	return buildShapedStore(tb, dir, n, seed, segmentBytes, nil)
+}
+
+// buildShapedStore is buildTestStoreSized with shape, when non-nil,
+// applied to every record before it is appended.
+func buildShapedStore(tb testing.TB, dir string, n int, seed int64, segmentBytes int64, shape func(*store.Record)) *store.Store {
+	tb.Helper()
 	st, err := store.Open(dir, store.Options{
 		SegmentBytes: segmentBytes,
 		Metrics:      obs.NewRegistry(),
@@ -76,11 +87,49 @@ func buildTestStoreSized(tb testing.TB, dir string, n int, seed int64, segmentBy
 			rec.Facts.Country = "Australia"
 			rec.Facts.CreatedYear = 2014
 		}
+		if shape != nil {
+			shape(rec)
+		}
 		if err := st.Append(rec); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return st
+}
+
+// seekWindow is the store's first read at a posting (frameReadWindow
+// in internal/store); a frame above it takes a second read.
+const seekWindow = 8 << 10
+
+// surveyShape gives each record what a survey-ingested one carries: its
+// raw text and a parsed view with labelled lines, name servers and a
+// model stamp — a frame of a few KB, and about one in twenty above
+// seekWindow. It draws from its own rng, so the facts genRecord draws
+// stay those of the plain corpus.
+func surveyShape(seed int64) func(*store.Record) {
+	rng := rand.New(rand.NewSource(seed))
+	return func(rec *store.Record) {
+		n := 20 + rng.Intn(40)
+		if rng.Intn(20) == 0 {
+			n = 150 + rng.Intn(150)
+		}
+		pr := &core.ParsedRecord{
+			DomainName:   rec.Domain,
+			Registrar:    rec.Facts.Registrar,
+			NameServers:  []string{"ns1." + rec.Domain, "ns2." + rec.Domain},
+			ModelVersion: "default/1.0.0+0000002a",
+		}
+		var text strings.Builder
+		for l := 0; l < n; l++ {
+			raw := "Registrant Street " + strconv.Itoa(l) + ": " + strconv.Itoa(rng.Intn(1000)) + " " + rec.Domain + " Road"
+			text.WriteString(raw + "\n")
+			pr.Lines = append(pr.Lines, tokenize.Line{Raw: raw})
+			pr.Blocks = append(pr.Blocks, labels.Block(rng.Intn(labels.NumBlocks)))
+			pr.Fields = append(pr.Fields, labels.Field(rng.Intn(labels.NumFields)))
+		}
+		rec.Text = text.String()
+		rec.Parsed = pr
+	}
 }
 
 func envInt(name string, def int64) int64 {
@@ -150,7 +199,7 @@ func diffOne(t *testing.T, e *Engine, p Pred) Stats {
 	var got, want []string
 	gotSv, wantSv := &survey.Survey{}, &survey.Survey{}
 	stats, err := e.Scan(p, func(rec *store.Record) error {
-		got = append(got, rec.Domain)
+		got = append(got, string(store.EncodeRecord(nil, rec)))
 		gotSv.Add(rec.Facts)
 		return nil
 	})
@@ -158,7 +207,7 @@ func diffOne(t *testing.T, e *Engine, p Pred) Stats {
 		t.Fatalf("Scan(%s): %v", p, err)
 	}
 	err = e.FullScan(p, func(rec *store.Record) error {
-		want = append(want, rec.Domain)
+		want = append(want, string(store.EncodeRecord(nil, rec)))
 		wantSv.Add(rec.Facts)
 		return nil
 	})
@@ -198,6 +247,32 @@ func TestQueryDifferential(t *testing.T) {
 		}
 		if seeked == 0 {
 			t.Fatal("no predicate ever used the index — the differential exercised nothing")
+		}
+	})
+	// Records with the raw text and parsed view a survey stores, some of
+	// their frames above the seek's first read window: the posting seek
+	// and the decoder on frames the size they are in production.
+	t.Run("survey-shaped", func(t *testing.T) {
+		st := buildShapedStore(t, t.TempDir(), n, seed, 64<<10, surveyShape(seed))
+		defer st.Close()
+		e := New(st, Options{Metrics: obs.NewRegistry()})
+		if _, err := e.BuildAll(); err != nil {
+			t.Fatal(err)
+		}
+		seeked, bigSeeked := 0, false
+		for _, p := range differentialPreds() {
+			stats := diffOne(t, e, p)
+			seeked += stats.IndexSeeked
+			if stats.IndexSeeked == 0 || bigSeeked {
+				continue
+			}
+			e.Scan(p, func(rec *store.Record) error {
+				bigSeeked = bigSeeked || len(store.EncodeRecord(nil, rec)) > seekWindow
+				return nil
+			})
+		}
+		if seeked == 0 || !bigSeeked {
+			t.Fatalf("index seeks: %d segments, a frame above %d bytes among their matches: %v", seeked, seekWindow, bigSeeked)
 		}
 	})
 }
@@ -465,18 +540,7 @@ func TestAutoBuildJoinsOnClose(t *testing.T) {
 			t.Fatalf("segment %d: %v", info.ID, err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	after := runtime.NumGoroutine()
-	for after > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond) // exited goroutines may not be reaped yet
-		after = runtime.NumGoroutine()
-	}
-	// Fewer is fine: a goroutine of an earlier test may have exited
-	// since before was taken.
-	if after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutines: %d before Open, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
-	}
+	leakcheck.Goroutines(t, before)
 }
 
 // TestEngineSurvey: the survey built from a predicate equals the survey

@@ -234,7 +234,7 @@ func (s *Stack) openStore(dir string) error {
 		return nil
 	}
 	version := s.Model.Current().Version
-	n, err := warmStart(s.Serve, s.Store, version)
+	n, err := warmStart(s.Serve.Preload, s.Store, version)
 	if err != nil {
 		return err
 	}
@@ -248,8 +248,9 @@ func (s *Stack) openStore(dir string) error {
 // cache key a live request for that text would compute, with their
 // line titles and values re-derived (the store keeps only raw lines).
 // Only records stamped by the exact model version serving are admitted
-// — anything else would be misattributed.
-func warmStart(ps *serve.Server, st *store.Store, version string) (int, error) {
+// — anything else would be misattributed. preload is the serving
+// cache's Preload.
+func warmStart(preload func(text string, pr *core.ParsedRecord), st *store.Store, version string) (int, error) {
 	it := st.IterNewestSegment()
 	defer it.Close()
 	n := 0
@@ -259,7 +260,7 @@ func warmStart(ps *serve.Server, st *store.Store, version string) (int, error) {
 			continue // thin, unparsed, or parsed by a different model
 		}
 		tokenize.Resplit(rec.Parsed.Lines)
-		ps.Preload(rec.Text, rec.Parsed)
+		preload(rec.Text, rec.Parsed)
 		n++
 	}
 	return n, it.Err()

@@ -13,16 +13,17 @@ import (
 	"sync"
 	"syscall"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/labels"
+	"repro/internal/leakcheck"
 	"repro/internal/modelreg"
 	"repro/internal/rdap"
 	"repro/internal/store"
 	"repro/internal/survey"
 	"repro/internal/synth"
+	"repro/internal/tokenize"
 )
 
 // Shared fixtures, trained once per test binary: two small models
@@ -456,15 +457,48 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	after := runtime.NumGoroutine()
-	for after > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond) // exited goroutines may not be reaped yet
-		after = runtime.NumGoroutine()
+	if after := leakcheck.Goroutines(t, before); after != before {
+		t.Fatalf("goroutines: %d before Open, %d after Close", before, after)
 	}
-	if after != before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutines: %d before Open, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
+}
+
+// TestWarmStartDoesNotPinText: every answer the warm start preloads
+// keeps none of its record's raw text alive — the cache holds answers,
+// not texts.
+func TestWarmStartDoesNotPinText(t *testing.T) {
+	recs, _, _ := models(t)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const version = "default/1.0.0+deadbeef"
+	for _, r := range recs[:20] {
+		lines := tokenize.Tokenize(r.Text, tokenize.Options{})
+		pr := &core.ParsedRecord{
+			Lines:        lines,
+			Blocks:       make([]labels.Block, len(lines)),
+			Fields:       make([]labels.Field, len(lines)),
+			DomainName:   r.Domain,
+			Registrar:    r.Registrar,
+			NameServers:  []string{"ns1." + r.Domain},
+			ModelVersion: version,
+		}
+		if err := st.Append(&store.Record{Domain: r.Domain, Text: r.Text, Parsed: pr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var strs int
+	n, err := warmStart(func(text string, pr *core.ParsedRecord) {
+		for _, s := range leakcheck.Strings(pr) {
+			strs++
+			if leakcheck.Overlaps(s, text) {
+				t.Fatalf("preloaded answer for %s: %q points into the raw text", pr.DomainName, s)
+			}
+		}
+	}, st, version)
+	if err != nil || n != 20 || strs < 20*10 {
+		t.Fatalf("warm start preloaded %d records with %d strings (%v); want 20", n, strs, err)
 	}
 }
 

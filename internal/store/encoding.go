@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/labels"
@@ -199,13 +200,24 @@ func appendContact(buf []byte, c *core.Contact) []byte {
 	return buf
 }
 
+// span is the payload range [lo, hi) of one encoded string.
+type span struct{ lo, hi int }
+
 // reader is a bounds-checked cursor over a payload. Every read method
 // reports failure instead of panicking or reading past the slice — the
 // decoder's fuzz target leans on this.
+//
+// Decoded strings are not copied one by one: own copies the payload,
+// minus the raw text, into one immutable string once, and str slices
+// every later string out of it.
 type reader struct {
 	b   []byte
 	pos int
 	bad bool
+
+	s   string // the payload without its text span; see own
+	cut int    // payload offset of the text span
+	gap int    // length of the text span
 }
 
 func (r *reader) fail() { r.bad = true }
@@ -233,48 +245,101 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) str() string {
+// span reads one length-prefixed string's range and steps past it.
+func (r *reader) span() span {
 	n := r.uvarint()
 	if r.bad {
-		return ""
+		return span{}
 	}
 	if n > uint64(len(r.b)-r.pos) {
 		r.fail()
+		return span{}
+	}
+	sp := span{r.pos, r.pos + int(n)}
+	r.pos = sp.hi
+	return sp
+}
+
+// own copies every payload byte outside text into one string, the
+// backing of every string at and str return. The raw text stays out of
+// it (the caller gives the text its own allocation), so a decoded
+// ParsedRecord never pins the record's raw text.
+func (r *reader) own(text span) {
+	buf := make([]byte, 0, len(r.b)-(text.hi-text.lo))
+	buf = append(append(buf, r.b[:text.lo]...), r.b[text.hi:]...)
+	r.s = unsafe.String(unsafe.SliceData(buf), len(buf))
+	r.cut, r.gap = text.lo, text.hi-text.lo
+}
+
+// at returns the string a span read before or after own names.
+func (r *reader) at(sp span) string {
+	if sp.lo >= r.cut {
+		sp.lo -= r.gap
+		sp.hi -= r.gap
+	}
+	return r.s[sp.lo:sp.hi]
+}
+
+func (r *reader) str() string {
+	sp := r.span()
+	if r.bad {
 		return ""
 	}
-	s := string(r.b[r.pos : r.pos+int(n)])
-	r.pos += int(n)
-	return s
+	return r.at(sp)
+}
+
+// count reads a list length. Each entry costs at least one byte (its
+// length varint), so a count beyond the remaining bytes is corrupt —
+// rejected before anything is allocated for it.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if !r.bad && n > uint64(len(r.b)-r.pos) {
+		r.fail()
+	}
+	if r.bad {
+		return 0
+	}
+	return int(n)
 }
 
 // decodeRecord parses one payload produced by appendRecord. It never
 // panics or over-reads: every length is validated against the remaining
-// bytes before use.
+// bytes before use. Its allocations do not grow with the record: the
+// Record, one copy of the payload that every string is sliced from, the
+// raw text, and the parsed record with its line, label and name-server
+// arrays.
 func decodeRecord(payload []byte) (*Record, error) {
-	r := &reader{b: payload}
+	r := reader{b: payload}
 	if kind := r.byte(); r.bad || kind != recordKind {
 		return nil, fmt.Errorf("%w: unknown kind", ErrBadRecord)
 	}
 	flags := r.byte()
-	rec := &Record{}
-	rec.Domain = r.str()
-	rec.Facts.Registrar = r.str()
-	rec.Facts.Country = r.str()
+	domain, registrar, country := r.span(), r.span(), r.span()
 	year := r.uvarint()
-	rec.Facts.PrivacySvc = r.str()
-	rec.Facts.Org = r.str()
+	privacySvc, org := r.span(), r.span()
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated facts", ErrBadRecord)
 	}
 	if year > 9999 {
 		return nil, fmt.Errorf("%w: implausible year %d", ErrBadRecord, year)
 	}
+	text := span{r.pos, r.pos}
+	if flags&flagHasText != 0 {
+		text = r.span()
+	}
+	r.own(text)
+	rec := &Record{}
+	rec.Domain = r.at(domain)
 	rec.Facts.Domain = rec.Domain
+	rec.Facts.Registrar = r.at(registrar)
+	rec.Facts.Country = r.at(country)
 	rec.Facts.CreatedYear = int(year)
+	rec.Facts.PrivacySvc = r.at(privacySvc)
+	rec.Facts.Org = r.at(org)
 	rec.Facts.Privacy = flags&flagPrivacy != 0
 	rec.Facts.Blacklisted = flags&flagBlacklisted != 0
-	if flags&flagHasText != 0 {
-		rec.Text = r.str()
+	if text.hi > text.lo {
+		rec.Text = string(payload[text.lo:text.hi])
 	}
 	if flags&flagHasParsed != 0 {
 		pr := &core.ParsedRecord{}
@@ -285,7 +350,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 		pr.CreatedDate = r.str()
 		pr.UpdatedDate = r.str()
 		pr.ExpiresDate = r.str()
-		decodeContact(r, &pr.Registrant)
+		decodeContact(&r, &pr.Registrant)
 		nLines := r.uvarint()
 		if r.bad {
 			return nil, fmt.Errorf("%w: truncated parsed record", ErrBadRecord)
@@ -323,8 +388,7 @@ func decodeRecord(payload []byte) (*Record, error) {
 		if rec.Parsed == nil {
 			return nil, fmt.Errorf("%w: domain meta without parsed record", ErrBadRecord)
 		}
-		rec.Parsed.NameServers = decodeStrings(r)
-		rec.Parsed.Statuses = decodeStrings(r)
+		rec.Parsed.NameServers, rec.Parsed.Statuses = decodeStringPair(&r)
 	}
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated payload", ErrBadRecord)
@@ -335,28 +399,36 @@ func decodeRecord(payload []byte) (*Record, error) {
 	return rec, nil
 }
 
-// decodeStrings mirrors appendStrings. A zero count decodes to nil so
-// the encoder/decoder stay exact mirrors (the encoder never writes an
-// empty list without the gating flag's other half being non-empty).
-func decodeStrings(r *reader) []string {
-	n := r.uvarint()
-	if r.bad {
-		return nil
+// decodeStringPair mirrors two consecutive appendStrings calls. Both
+// lists are carved from one backing array, sized by reading ahead to
+// the second count. A zero count decodes to nil so the encoder/decoder
+// stay exact mirrors (the encoder never writes an empty pair).
+func decodeStringPair(r *reader) (a, b []string) {
+	na := r.count()
+	ahead := *r
+	for i := 0; i < na; i++ {
+		ahead.span()
 	}
-	// Each entry costs at least one byte (its length varint), so a count
-	// beyond the remaining bytes is corrupt — reject before allocating.
-	if n > uint64(len(r.b)-r.pos) {
+	nb := ahead.count()
+	if r.bad || ahead.bad {
 		r.fail()
-		return nil
+		return nil, nil
 	}
-	if n == 0 {
-		return nil
+	all := make([]string, na+nb)
+	for i := range na {
+		all[i] = r.str()
 	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
+	r.count()
+	for i := na; i < len(all); i++ {
+		all[i] = r.str()
 	}
-	return out
+	if na > 0 {
+		a = all[:na:na]
+	}
+	if nb > 0 {
+		b = all[na:]
+	}
+	return a, b
 }
 
 func decodeContact(r *reader, c *core.Contact) {
@@ -394,6 +466,48 @@ func appendFrame(buf, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 }
 
+// maxFrameHeader is the most bytes a frame's length prefix may take (a
+// valid length fits 4: maxFramePayload < 2^28). A prefix that still
+// continues after it is corruption — at the tail of a segment
+// indistinguishable from a torn write, so it reports ErrTornFrame and
+// the caller decides.
+const maxFrameHeader = 5
+
+// frameHeader decodes the length prefix at the start of b, which holds
+// every byte the frame has left (or at least maxFrameHeader of them).
+// It returns the payload length and the prefix's size. A prefix that
+// ends with b is ErrTornFrame; a length over maxFramePayload is
+// ErrFrameTooBig. The streaming scanner and the positioned read share
+// it, so both read one frame format.
+func frameHeader(b []byte) (n, hdr int, err error) {
+	var v uint64
+	for i := 0; i < maxFrameHeader; i++ {
+		if i == len(b) {
+			return 0, 0, ErrTornFrame
+		}
+		c := b[i]
+		v |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			if v > maxFramePayload {
+				return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, v)
+			}
+			return int(v), i + 1, nil
+		}
+	}
+	return 0, 0, ErrTornFrame
+}
+
+// frameBody checks the n-byte payload and trailing CRC32C at the start
+// of b, which holds exactly n+frameCRCLen bytes, and returns the
+// payload.
+func frameBody(b []byte, n int) ([]byte, error) {
+	payload := b[:n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[n:]) {
+		return nil, ErrBadChecksum
+	}
+	return payload, nil
+}
+
 // frameScanner streams frames off a reader with a single reusable
 // payload buffer, so iterating a multi-gigabyte segment holds one frame
 // in memory at a time. It tracks byte offsets for posting seeks and for
@@ -414,32 +528,19 @@ func newFrameScanner(r io.Reader, start int64) *frameScanner {
 // ErrBadChecksum. The payload is only valid until the following call.
 func (fs *frameScanner) next() (payload []byte, start int64, err error) {
 	start = fs.off
-	// Length varint, byte by byte. A valid length fits 4 bytes
-	// (maxFramePayload < 2^28); anything longer is corruption, but at the
-	// tail of a segment it is indistinguishable from a torn write, so it
-	// reports ErrTornFrame and the caller decides.
-	var n uint64
-	for shift := uint(0); ; shift += 7 {
-		c, rerr := fs.r.ReadByte()
-		if rerr != nil {
-			if shift == 0 && rerr == io.EOF {
-				return nil, start, io.EOF
-			}
-			return nil, start, ErrTornFrame
-		}
-		fs.off++
-		n |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			break
-		}
-		if shift >= 28 {
-			return nil, start, ErrTornFrame
-		}
+	// Peek returns fewer bytes only at the end of the input (or on a
+	// read error, which ends the frame just the same).
+	head, perr := fs.r.Peek(maxFrameHeader)
+	if len(head) == 0 && perr == io.EOF {
+		return nil, start, io.EOF
 	}
-	if n > maxFramePayload {
-		return nil, start, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+	n, hdr, err := frameHeader(head)
+	if err != nil {
+		return nil, start, err
 	}
-	need := int(n) + frameCRCLen
+	fs.r.Discard(hdr)
+	fs.off += int64(hdr)
+	need := n + frameCRCLen
 	if cap(fs.buf) < need {
 		fs.buf = make([]byte, need)
 	}
@@ -448,10 +549,6 @@ func (fs *frameScanner) next() (payload []byte, start int64, err error) {
 		return nil, start, ErrTornFrame
 	}
 	fs.off += int64(need)
-	payload = b[:n]
-	want := binary.LittleEndian.Uint32(b[n:])
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, start, ErrBadChecksum
-	}
-	return payload, start, nil
+	payload, err = frameBody(b, n)
+	return payload, start, err
 }

@@ -63,7 +63,9 @@ func FuzzRecordDecode(f *testing.F) {
 // FuzzFrameScan feeds arbitrary bytes to the frame scanner as if they
 // were a segment body: it must terminate with io.EOF or a frame error,
 // never panic or loop, and every intact frame it yields must carry a
-// matching checksum by construction.
+// matching checksum by construction. The positioned read must agree at
+// every frame start the scanner reaches: the same payload where the
+// scanner yields one, the same error class where it fails.
 func FuzzFrameScan(f *testing.F) {
 	// Valid single and double frames, plus torn and corrupt variants.
 	one := appendFrame(nil, appendRecord(nil, testRecord(1)))
@@ -77,30 +79,57 @@ func FuzzFrameScan(f *testing.F) {
 	flip[len(flip)/2] ^= 0x01
 	f.Add(flip)
 
+	// A frame larger than the positioned read's first window, whole and
+	// torn inside its second read.
+	big := appendFrame(append([]byte(nil), one...), bytes.Repeat([]byte{'x'}, 9000))
+	f.Add(big)
+	f.Add(big[:len(big)-100])
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := newFrameScanner(bytes.NewReader(data), 0)
+		ra := bytes.NewReader(data)
+		var buf []byte
 		var frames int
 		for {
 			payload, start, err := sc.next()
 			if err == io.EOF {
 				break
 			}
+			var got []byte
+			var perr error
+			got, buf, perr = readFrameAt(ra, buf, start, int64(len(data)))
 			if err != nil {
-				if !errors.Is(err, ErrTornFrame) && !errors.Is(err, ErrBadChecksum) && !errors.Is(err, ErrFrameTooBig) {
+				class := frameErrorClass(err)
+				if class == nil {
 					t.Fatalf("unexpected error class: %v", err)
+				}
+				if !errors.Is(perr, class) {
+					t.Fatalf("frame at %d: scanner %v, positioned read %v", start, err, perr)
 				}
 				break
 			}
 			if start < 0 || start > int64(len(data)) {
 				t.Fatalf("frame start %d outside input of %d bytes", start, len(data))
 			}
-			_ = payload
+			if perr != nil || !bytes.Equal(got, payload) {
+				t.Fatalf("frame at %d: positioned read %d bytes, %v; scanner %d bytes", start, len(got), perr, len(payload))
+			}
 			frames++
 			if frames > len(data) {
 				t.Fatal("more frames than input bytes")
 			}
 		}
 	})
+}
+
+// frameErrorClass is the frame error err belongs to, or nil.
+func frameErrorClass(err error) error {
+	for _, class := range []error{ErrTornFrame, ErrBadChecksum, ErrFrameTooBig} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return nil
 }
 
 // TestFuzzSeedsAsRegressions runs every seed through the decoder even

@@ -75,11 +75,7 @@ func (it *Iterator) Next() bool {
 		if it.sc == nil {
 			// Bound the scanner to the snapshot's committed size so
 			// frames written after the snapshot stay invisible.
-			if _, err := seg.f.Seek(segHeaderLen, 0); err != nil {
-				it.err = fmt.Errorf("store: iterate seek: %w", err)
-				return false
-			}
-			it.sc = newFrameScanner(io.LimitReader(seg.f, seg.size-segHeaderLen), segHeaderLen)
+			it.sc = newFrameScanner(io.NewSectionReader(seg.f, segHeaderLen, seg.size-segHeaderLen), segHeaderLen)
 		}
 		payload, off, err := it.sc.next()
 		if err == io.EOF {

@@ -1,10 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,6 +82,18 @@ func TestSegmentReaderFrames(t *testing.T) {
 	fp, err := r.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Sidecars on disk carry fingerprints: the definition must not move.
+	data, err := os.ReadFile(r.Info().Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := crc32.New(castagnoli)
+	h.Write(data[:min(len(data), fingerprintSample)])
+	h.Write(data[max(len(data)-fingerprintSample, 0):])
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(data))))
+	if want := h.Sum32(); fp != want {
+		t.Fatalf("fingerprint = %08x, want CRC32C(head|tail|size) = %08x", fp, want)
 	}
 	if err := st.Append(testRecord(n)); err != nil {
 		t.Fatal(err)
@@ -196,5 +214,187 @@ func TestCloseFencesRotatingAppend(t *testing.T) {
 		if n := late.Load(); n != 0 {
 			t.Fatalf("%v hooks: %d of %d ran after Close returned", hook, n, hooks.Load())
 		}
+	}
+}
+
+// bigRecord is testRecord(i) with a raw text of 20 KiB, so its frame is
+// larger than FrameAt's first read window.
+func bigRecord(i int) *Record {
+	rec := testRecord(i)
+	rec.Text = strings.Repeat("Registrant Street: 1 Long Road\n", 20<<10/31+1)
+	return rec
+}
+
+// segmentWithBigFrame writes 20 records, one of them a bigRecord, and
+// opens a snapshot of the (single) segment.
+func segmentWithBigFrame(t *testing.T) *SegmentReader {
+	t.Helper()
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < 20; i++ {
+		rec := testRecord(i)
+		if i == 7 {
+			rec = bigRecord(i)
+		}
+		if err := st.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := st.OpenSegment(st.SegmentInfos()[0].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// TestFrameAtMatchesFrames holds the positioned read to the streaming
+// scanner on a real segment: FrameAt succeeds at exactly the offsets
+// Frames reports, with byte-identical payloads, and fails at every
+// other byte offset. One frame is larger than the first read window,
+// so the second read is on the path too.
+func TestFrameAtMatchesFrames(t *testing.T) {
+	r := segmentWithBigFrame(t)
+	want := make(map[int64][]byte)
+	big := false
+	err := r.Frames(func(off int64, payload []byte) error {
+		want[off] = bytes.Clone(payload)
+		big = big || len(payload) > frameReadWindow
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 20 || !big {
+		t.Fatalf("Frames saw %d frames (want 20), one over the read window: %v", len(want), big)
+	}
+	for off := int64(0); off <= r.Info().Size; off++ {
+		payload, err := r.FrameAt(off)
+		w, ok := want[off]
+		switch {
+		case ok && err != nil:
+			t.Fatalf("FrameAt(%d) at a frame: %v", off, err)
+		case ok && !bytes.Equal(payload, w):
+			t.Fatalf("FrameAt(%d) payload differs from Frames'", off)
+		case !ok && err == nil:
+			t.Fatalf("FrameAt(%d) off a frame boundary returned a %d-byte payload", off, len(payload))
+		}
+	}
+	if cap(r.buf) <= frameReadWindow {
+		t.Fatalf("read buffer is %d bytes after the large frame; the second read never ran", cap(r.buf))
+	}
+}
+
+// TestFrameAtErrorsMatchScanner damages a segment the ways a disk or a
+// crash can and requires FrameAt to fail at the scanner's failing frame
+// with the scanner's error class, after agreeing on every frame before
+// it.
+func TestFrameAtErrorsMatchScanner(t *testing.T) {
+	header := append(segMagic[:], segVersion, 0, 0, 0)
+	var seg []byte
+	var offs []int64
+	seg = append(seg, header...)
+	for i := 0; i < 4; i++ {
+		rec := testRecord(i)
+		if i == 2 {
+			rec = bigRecord(i)
+		}
+		offs = append(offs, int64(len(seg)))
+		seg = appendFrame(seg, appendRecord(nil, rec))
+	}
+	bigEnd := offs[3]
+	cases := []struct {
+		name  string
+		bytes []byte
+		size  int64 // the snapshot's size; 0 means len(bytes)
+		want  error
+	}{
+		{"torn-tail", seg[:len(seg)-7], 0, ErrTornFrame},
+		{"torn-big-frame", seg[:bigEnd-100], 0, ErrTornFrame},
+		{"torn-length", append(bytes.Clone(seg), 0x80), 0, ErrTornFrame},
+		{"long-length", append(bytes.Clone(seg), 0x80, 0x80, 0x80, 0x80, 0x80, 1), 0, ErrTornFrame},
+		{"flipped-byte", flipAt(seg, offs[1]+9), 0, ErrBadChecksum},
+		{"flipped-big-frame", flipAt(seg, bigEnd-9), 0, ErrBadChecksum},
+		{"oversized-length", binary.AppendUvarint(bytes.Clone(seg), maxFramePayload+1), 0, ErrFrameTooBig},
+		// The file is shorter than the snapshot: the big frame's second
+		// read runs out.
+		{"shrunk-file", seg[:bigEnd-100], bigEnd, ErrTornFrame},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "00000001.seg")
+			if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			size := c.size
+			if size == 0 {
+				size = int64(len(c.bytes))
+			}
+			r := &SegmentReader{f: f, info: SegmentInfo{ID: 1, Path: path, Size: size}}
+			sc := newFrameScanner(io.NewSectionReader(f, segHeaderLen, size-segHeaderLen), segHeaderLen)
+			for {
+				payload, start, err := sc.next()
+				if err == io.EOF {
+					t.Fatal("scanner reached the end of a damaged segment")
+				}
+				got, ferr := r.FrameAt(start)
+				if err != nil {
+					if !errors.Is(err, c.want) {
+						t.Fatalf("scanner at %d: %v, want %v", start, err, c.want)
+					}
+					if !errors.Is(ferr, c.want) {
+						t.Fatalf("FrameAt(%d) = %v, want %v as the scanner", start, ferr, c.want)
+					}
+					return
+				}
+				if ferr != nil || !bytes.Equal(got, payload) {
+					t.Fatalf("FrameAt(%d) = %d bytes, %v; the scanner read %d bytes", start, len(got), ferr, len(payload))
+				}
+			}
+		})
+	}
+}
+
+func flipAt(b []byte, pos int64) []byte {
+	b = bytes.Clone(b)
+	b[pos] ^= 0x01
+	return b
+}
+
+// TestFrameAtAllocs: once a reader's buffer has grown to its largest
+// frame, posting seeks and fingerprints allocate nothing.
+func TestFrameAtAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := segmentWithBigFrame(t)
+	var offs []int64
+	if err := r.Frames(func(off int64, _ []byte) error {
+		offs = append(offs, off)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	seek := func() {
+		for _, off := range offs {
+			if _, err := r.FrameAt(off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seek() // warm the buffer
+	if n := testing.AllocsPerRun(20, seek); n != 0 {
+		t.Fatalf("%v allocations per pass of %d seeks; want 0", n, len(offs))
+	}
+	if n := testing.AllocsPerRun(20, func() { r.Fingerprint() }); n != 0 {
+		t.Fatalf("Fingerprint: %v allocations per call; want 0", n)
 	}
 }

@@ -5,11 +5,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/labels"
+	"repro/internal/leakcheck"
 	"repro/internal/obs"
 	"repro/internal/survey"
 	"repro/internal/tokenize"
@@ -64,10 +70,13 @@ func TestRecordRoundTrip(t *testing.T) {
 	noMeta.Parsed.Statuses = nil
 	statusOnly := testRecord(3)
 	statusOnly.Parsed.NameServers = nil
+	nsOnly := testRecord(4)
+	nsOnly.Parsed.Statuses = nil
 	for _, rec := range []*Record{
 		testRecord(1),
 		noMeta,
 		statusOnly,
+		nsOnly,
 		{Domain: "bare.com", Facts: survey.Facts{Domain: "bare.com", Registrar: "Thin Reg"}},
 		{Domain: "txt.com", Text: "raw only", Facts: survey.Facts{Domain: "txt.com"}},
 	} {
@@ -423,4 +432,108 @@ func TestSinkStampsModelVersion(t *testing.T) {
 	if rec.Facts.ModelVersion != "default/1.0.0+deadbeef" {
 		t.Errorf("Facts.ModelVersion = %q", rec.Facts.ModelVersion)
 	}
+}
+
+// surveyRecord is a survey-shaped record of n lines: raw text, parsed
+// lines with labels, name servers, statuses and a model stamp.
+func surveyRecord(n int) *Record {
+	rec := testRecord(n)
+	var text strings.Builder
+	pr := rec.Parsed
+	pr.Lines, pr.Blocks, pr.Fields = nil, nil, nil
+	for i := 0; i < n; i++ {
+		raw := fmt.Sprintf("Registrant Field %d: value %d", i, i*i)
+		text.WriteString(raw + "\n")
+		pr.Lines = append(pr.Lines, tokenize.Line{Raw: raw})
+		pr.Blocks = append(pr.Blocks, labels.Registrant)
+		pr.Fields = append(pr.Fields, labels.FieldName)
+	}
+	pr.ModelVersion = "default/1.0.0+deadbeef"
+	rec.Text = text.String()
+	return rec
+}
+
+// TestDecodeRecordAllocs: decoding costs a constant number of
+// allocations, not one per string — for 40 lines as for 400.
+func TestDecodeRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, lines := range []int{40, 400} {
+		payload := appendRecord(nil, surveyRecord(lines))
+		n := testing.AllocsPerRun(100, func() {
+			if _, err := decodeRecord(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 8 {
+			t.Errorf("decoding a %d-line record: %v allocations, want at most 8", lines, n)
+		}
+	}
+}
+
+// TestDecodedParsedDoesNotPinText: the raw text gets its own
+// allocation, so a decoded ParsedRecord kept after its Record (the
+// warm-start preload, a forwarded answer) never keeps the text alive,
+// and no decoded string aliases the caller's payload buffer.
+func TestDecodedParsedDoesNotPinText(t *testing.T) {
+	payload := appendRecord(nil, surveyRecord(40))
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokenize.Resplit(rec.Parsed.Lines) // as the warm start does
+	wire := unsafe.String(unsafe.SliceData(payload), len(payload))
+	if leakcheck.Overlaps(rec.Text, wire) {
+		t.Fatal("Text aliases the payload buffer")
+	}
+	strs := leakcheck.Strings(rec.Parsed)
+	if len(strs) < 40 {
+		t.Fatalf("only %d strings in the parsed record", len(strs))
+	}
+	for _, s := range strs {
+		if leakcheck.Overlaps(s, rec.Text) {
+			t.Fatalf("parsed string %q points into Text", s)
+		}
+		if leakcheck.Overlaps(s, wire) {
+			t.Fatalf("parsed string %q aliases the payload buffer", s)
+		}
+	}
+	// Not pointing into Text's bytes is not enough: the text must not
+	// share an allocation with what the parsed record keeps either.
+	textFreed := leakcheck.Collectable(rec.Text)
+	kept := rec.Parsed
+	rec = nil
+	if !textFreed() {
+		t.Fatal("the raw text stays reachable through the decoded ParsedRecord")
+	}
+	runtime.KeepAlive(kept)
+}
+
+// TestCloseAfterSealsLeavesNoGoroutine: a burst of appends seals many
+// segments, each starting a seal hook; Close joins them all, and the
+// goroutine count returns to its value before Open.
+func TestCloseAfterSealsLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	st, err := Open(t.TempDir(), Options{SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sealed atomic.Int32
+	st.SetOnSeal(func(uint64) {
+		time.Sleep(time.Millisecond)
+		sealed.Add(1)
+	})
+	for i := 0; i < 200; i++ {
+		if err := st.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sealed.Load(); n < 20 {
+		t.Fatalf("only %d seal hooks finished by Close", n)
+	}
+	leakcheck.Goroutines(t, before)
 }

@@ -162,6 +162,26 @@ type Survey struct {
 	years         map[int]int               // CreatedYear > 0
 	yearLabels    map[int]map[string]int    // Figure 4b label mix per year
 	regCountry    map[string]map[string]int // !Privacy: registrar -> country ("[]" = unknown)
+
+	// keys holds one copy of every string the maps above are keyed by.
+	// A fact's strings are slices of whatever it came from (a decoded
+	// store record, a parsed text), and a map assignment stores the key
+	// it is given, even for a key already present; counting through
+	// these copies keeps the survey from pinning one source per key.
+	keys map[string]string
+}
+
+// own returns the survey's copy of k.
+func (s *Survey) own(k string) string {
+	if c, ok := s.keys[k]; ok {
+		return c
+	}
+	if s.keys == nil {
+		s.keys = make(map[string]string)
+	}
+	c := strings.Clone(k)
+	s.keys[c] = c
+	return c
 }
 
 // New builds a survey over the given facts.
@@ -183,6 +203,8 @@ func bump(m *map[string]int, k string) {
 // Add folds one domain's facts into the aggregates.
 func (s *Survey) Add(f Facts) {
 	s.n++
+	f.Registrar, f.Country = s.own(f.Registrar), s.own(f.Country)
+	f.Org, f.PrivacySvc = s.own(f.Org), s.own(f.PrivacySvc)
 	bump(&s.registrars, f.Registrar)
 	if f.CreatedYear == 2014 {
 		bump(&s.regs2014, f.Registrar)

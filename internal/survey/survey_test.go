@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 )
 
 func TestParseDateFormats(t *testing.T) {
@@ -342,5 +343,36 @@ func TestTopOrgs(t *testing.T) {
 	}
 	if rows[1].Key != "Acme" || rows[1].Count != 2 {
 		t.Errorf("second org: %+v", rows[1])
+	}
+}
+
+// TestAddDoesNotPinFacts: the survey keys its counts by its own copies
+// of a fact's strings, so a fact sliced out of a large buffer (a decoded
+// store record) does not keep that buffer alive for the survey's
+// lifetime.
+func TestAddDoesNotPinFacts(t *testing.T) {
+	s := &Survey{}
+	for i := 0; i < 3; i++ { // repeats count through existing keys
+		buf := strings.Repeat("x", 4096) + "Example Registrar, Inc.|Germany|Example GmbH|WhoisGuard"
+		parts := strings.Split(buf[4096:], "|") // slices of buf
+		f := Facts{
+			Domain:      "example.de",
+			Registrar:   parts[0],
+			Country:     parts[1],
+			Org:         parts[2],
+			PrivacySvc:  parts[3],
+			CreatedYear: 2014,
+			Privacy:     i == 2,
+			Blacklisted: true,
+		}
+		freed := leakcheck.Collectable(buf)
+		s.Add(f)
+		buf, parts, f = "", nil, Facts{}
+		if !freed() {
+			t.Fatalf("add %d: the survey keeps the buffer its facts were sliced from", i)
+		}
+	}
+	if rows, _ := s.Table5(); rows[0].Key != "Example Registrar, Inc." || rows[0].Count != 3 {
+		t.Fatalf("Table5 = %+v, want the registrar counted 3 times", rows)
 	}
 }
